@@ -116,7 +116,8 @@ def parse_workspace(data):
                 bundles[name] = HNCurveBundle.from_json(record)
             else:
                 want = 1 if base_kind == "surface_rho1" else 2
-                if len(record.get("c1", ())) != want:
+                c1 = record.get("c1", ())
+                if not isinstance(c1, list) or len(c1) != want:
                     _fail(f"{path}.c1", f"needs {want} coordinate(s) for this base")
                 bundles[name] = SurfaceBundleData.from_json(record, gram)
         except InputError as err:
@@ -470,6 +471,8 @@ def main(argv=None):
         code, text = 2, _error_text(err, json_output)
     except InternalError as err:
         code, text = 3, _error_text(err, json_output)
+    except Exception as err:  # anything else is a bug too, never a "no"
+        code, text = 3, _error_text(InternalError(f"{type(err).__name__}: {err}"), json_output)
     if text:
         print(text)
     return code

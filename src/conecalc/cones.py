@@ -2,8 +2,11 @@
 
 Cones are stored as primitive integer generators in descending lex order.
 The facet description (outer normals plus span equations) is computed
-eagerly at construction by a double description pass over the dual side,
-so membership, equality and duality are read-only table work afterwards.
+eagerly at construction, so membership, equality and duality are
+read-only table work afterwards. A simplicial cone (exactly dim linearly
+independent generators) takes its facets from the dual basis, the columns
+of the inverse generator matrix; every other cone gets them from a double
+description pass over the dual side.
 
 The double description maintains (lineality basis, extreme rays, tight
 sets). The lineality basis always spans the intersection of the processed
@@ -37,6 +40,11 @@ def _max_dim():
 
 def primitive(vector):
     """Clear denominators and divide by the gcd; direction is preserved."""
+    if all(type(x) is int for x in vector):
+        if not any(vector):
+            raise InputError("zero vector is not a ray")
+        g = gcd(*vector)
+        return tuple(x // g for x in vector)
     fracs = [Fraction(x) for x in vector]
     if all(x == 0 for x in fracs):
         raise InputError("zero vector is not a ray")
@@ -104,6 +112,38 @@ def _dd_rays(rows, dim):
     return rays, lineality
 
 
+def _dual_basis(gens, dim):
+    """Facets of the cone over dim integer generators, or None when they
+    are dependent.
+
+    Facet i is column i of the inverse generator matrix, signed to be
+    positive on generator i and made primitive. This is the tuple _dd_rays
+    returns for the same rows, order included: DD appends ray i tight on
+    every row but row i. The adjugate comes from fraction-free (Bareiss)
+    Gauss-Jordan elimination, so every division is exact.
+    """
+    n = len(gens)
+    if n != dim:
+        return None
+    rows = [list(g) + [int(i == j) for j in range(n)] for i, g in enumerate(gens)]
+    prev = 1
+    for k in range(n):
+        pivot_at = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot_at is None:
+            return None
+        rows[k], rows[pivot_at] = rows[pivot_at], rows[k]
+        pivot_row = rows[k]
+        pv = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, pivot_row)]
+        prev = pv
+    # the left block is now prev * identity and the right one prev * inverse
+    sign = 1 if prev > 0 else -1
+    return tuple(primitive([sign * rows[j][n + i] for j in range(n)]) for i in range(n))
+
+
 def _int_rows(vectors):
     return [primitive(v) for v in vectors if any(Fraction(x) != 0 for x in v)]
 
@@ -160,8 +200,10 @@ class RationalCone:
             gens.append(primitive(g))
         self.dim = dim
         self.generators = tuple(sorted(set(gens), reverse=True))
-        facets, span_normals = _dd_rays(list(self.generators), dim)
         # facet inequalities plus span equations: together they cut out the cone
+        facets, span_normals = _dual_basis(self.generators, dim), ()
+        if facets is None:
+            facets, span_normals = _dd_rays(list(self.generators), dim)
         self._facets = tuple(facets)
         self._span_normals = tuple(span_normals)
 
@@ -191,14 +233,17 @@ class RationalCone:
         'span' (needs = 0); the facet data makes rejections actionable.
         """
         v = self._check_dim(vector)
+        # a positive scale keeps every sign, so the tests run on integers
+        scale = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (scale // x.denominator) for x in v]
         for normal in self._facets:
-            value = _dot(normal, v)
+            value = _dot(normal, w)
             if value < 0:
-                return ("facet", normal, value)
+                return ("facet", normal, Fraction(value, scale))
         for normal in self._span_normals:
-            value = _dot(normal, v)
+            value = _dot(normal, w)
             if value != 0:
-                return ("span", normal, value)
+                return ("span", normal, Fraction(value, scale))
         return None
 
     def contains(self, vector):

@@ -332,7 +332,8 @@ def check_semistable_towers(rng):
 
 
 def check_cone_oracle(rng):
-    """Double-description membership equals simplex feasibility."""
+    """RationalCone membership (dual-basis or double-description facets)
+    equals simplex feasibility."""
     bad = []
     for _ in range(500):
         dim = rng.randint(1, 4)

@@ -291,6 +291,32 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "invariant cracked" in out
 
 
+def test_unexpected_exception_exit_code(tmp_path, capsys, monkeypatch):
+    def boom(spec, command, json_output=False):
+        raise ZeroDivisionError("slipped through")
+
+    monkeypatch.setattr(cli, "run_command", boom)
+    code, out = run(capsys, ["-w", ws_file(tmp_path, CURVE_WS), "cone", "nef"])
+    assert code == 3
+    assert out.startswith("error: ") and "slipped through" in out
+    code, out = run(capsys, ["--json", "-w", ws_file(tmp_path, CURVE_WS), "cone", "nef"])
+    assert code == 3
+    assert "slipped through" in json.loads(out)["error"]
+
+
+def test_integer_c1_is_path_addressed(tmp_path, capsys):
+    workspace = {
+        "base": {"kind": "surface_rho1", "L2": "3"},
+        "bundles": [{"name": "V", "rank": 4, "c1": 5, "c2": "9/2", "semistable": True}],
+        "space": {"kind": "proj_bundle", "bundle": "V"},
+    }
+    with pytest.raises(InputError) as err:
+        cli.parse_workspace(json.dumps(workspace))
+    assert "bundles[0].c1" in str(err.value)
+    code, out = run(capsys, ["-w", ws_file(tmp_path, workspace), "cone", "nef"])
+    assert code == 2 and "bundles[0].c1" in out
+
+
 def test_error_json_payload(tmp_path, capsys):
     code, out = run(capsys, ["--json", "cone", "psef"])
     assert code == 2

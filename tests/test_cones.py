@@ -1,12 +1,21 @@
 """Exact polyhedral cones: membership, duality, extremal rays."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conecalc.cones import Pairing, RationalCone, dual, equals, extremal_rays, primitive
+from conecalc.cones import (
+    Pairing,
+    RationalCone,
+    _dd_rays,
+    dual,
+    equals,
+    extremal_rays,
+    primitive,
+)
 from conecalc.errors import InputError
 
 OCTANT3 = RationalCone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -16,8 +25,9 @@ def test_primitive():
     assert primitive((2, 4, -6)) == (1, 2, -3)
     assert primitive((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
     assert primitive((-3,)) == (-1,)
-    with pytest.raises(InputError):
-        primitive((0, 0))
+    for zero in [(0, 0), (False, False), (Fraction(0), 0), ()]:
+        with pytest.raises(InputError):
+            primitive(zero)
 
 
 def test_contains_examples():
@@ -182,3 +192,103 @@ def test_dual_pairs_nonnegatively(gens):
         for g in cone.generators:
             assert sum(a * b for a, b in zip(y, g)) >= 0
     assert equals(d.dual(), cone)
+
+
+# --- differential tests: every facet table must equal double description ---
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def _dd_table(cone):
+    facets, span_normals = _dd_rays(list(cone.generators), cone.dim)
+    return tuple(facets), tuple(span_normals)
+
+
+@st.composite
+def square_sets(draw):
+    dim = draw(st.integers(1, 6))
+    vec = st.tuples(*[rationals] * dim).filter(any)
+    return dim, draw(st.lists(vec, min_size=dim, max_size=dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_sets())
+def test_independent_facets_equal_dd(case):
+    dim, gens = case
+    expected = _dd_table(RationalCone(dim, gens))
+    # at most dim generators span the space only when they are dim independent ones
+    assume(expected[1] == ())
+    # the simplicial route must not fall back to double description
+    with mock.patch("conecalc.cones._dd_rays", side_effect=AssertionError):
+        cone = RationalCone(dim, gens)
+    assert (cone._facets, cone._span_normals) == expected
+
+
+@st.composite
+def degenerate_sets(draw):
+    dim = draw(st.integers(1, 6))
+    vec = st.tuples(*[rationals] * dim).filter(any)
+    base = draw(st.lists(vec, min_size=1, max_size=dim))
+    shape = draw(st.sampled_from(["dependent", "duplicate", "extra"]))
+    if shape == "dependent":
+        weights = draw(st.lists(rationals, min_size=len(base), max_size=len(base)))
+        combo = tuple(sum(w * v[i] for w, v in zip(weights, base)) for i in range(dim))
+        gens = base + ([combo] if any(combo) else [])
+    elif shape == "duplicate":
+        gens = base + [tuple(3 * x for x in base[0])]
+    else:
+        extra = dim + 1 - len(base)
+        gens = base + draw(st.lists(vec, min_size=extra, max_size=extra))
+    return dim, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_sets())
+def test_degenerate_facets_equal_dd(case):
+    dim, gens = case
+    cone = RationalCone(dim, gens)
+    assert (cone._facets, cone._span_normals) == _dd_table(cone)
+
+
+@st.composite
+def cones_with_probe(draw):
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-4, 4)] * dim).filter(any)
+    gens = draw(st.lists(vec, min_size=1, max_size=dim + 1))
+    probe = draw(st.tuples(*[rationals] * dim))
+    if draw(st.booleans()):
+        probe = tuple(str(x) for x in probe)
+    return RationalCone(dim, gens), probe
+
+
+@settings(max_examples=150, deadline=None)
+@given(cones_with_probe())
+def test_violated_value_is_exact_dot(case):
+    cone, probe = case
+    exact = tuple(Fraction(x) for x in probe)
+
+    def dot(normal):
+        return sum(Fraction(n) * x for n, x in zip(normal, exact))
+
+    found = cone.violated_constraint(probe)
+    if found is None:
+        assert all(dot(n) >= 0 for n in cone._facets)
+        assert all(dot(n) == 0 for n in cone._span_normals)
+    else:
+        kind, normal, value = found
+        assert type(value) is Fraction
+        assert value == dot(normal)
+        assert value < 0 if kind == "facet" else value != 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=6).filter(any))
+def test_primitive_agrees_across_input_types(ints):
+    expected = primitive([Fraction(x) for x in ints])
+    assert primitive(ints) == expected
+    assert all(type(x) is int for x in primitive(ints))
+    bools = [x > 0 for x in ints]
+    if any(bools):
+        result = primitive(bools)
+        assert result == primitive([int(b) for b in bools])
+        assert all(type(x) is int for x in result)
