@@ -10,7 +10,6 @@ machine-checkable certificates.
 from .bundles import (
     HNCurveBundle,
     SurfaceBundleData,
-    c2_end,
     mu_max,
     mu_min,
     slope,
@@ -36,10 +35,6 @@ from .cli import WorkspaceSpec, parse_workspace, run_command
 from .cones import (
     Pairing,
     RationalCone,
-    contains,
-    dual,
-    equals,
-    extremal_rays,
     primitive,
 )
 from .errors import CalcError, InputError, InternalError
@@ -59,7 +54,6 @@ from .zariski import (
     ReductionStep,
     VerifyResult,
     ZariskiCertificate,
-    coordinate_transport,
     decompose,
     extremal_ray_decompositions,
     reduce_step,
@@ -89,16 +83,10 @@ __all__ = [
     "build_fibre_product_ring",
     "build_lambda_ring_surface",
     "build_xi_ring_surface",
-    "c2_end",
-    "contains",
-    "coordinate_transport",
     "decompose",
-    "dual",
     "eff_k_ruled",
     "eff_k_surface_rho1",
-    "equals",
     "extremal_ray_decompositions",
-    "extremal_rays",
     "fibre_product_cones",
     "homogeneity_cones",
     "iterated_fibre_product_cones",

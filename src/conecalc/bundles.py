@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InputError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_bool, parse_int, parse_rational
 
 
 def validate_hn(rank, degree, quotients):
@@ -82,14 +82,14 @@ class HNCurveBundle:
         if not isinstance(obj, dict):
             raise InputError("bundle record must be a JSON object")
         try:
-            rank = int(obj["rank"])
-            degree = int(obj["degree"])
-        except (KeyError, TypeError, ValueError):
+            rank = parse_int(obj["rank"])
+            degree = parse_int(obj["degree"])
+        except KeyError:
             raise InputError("bundle record needs integer rank and degree") from None
         quotients = obj.get("hn")
         if quotients is not None:
             try:
-                quotients = tuple((int(r), int(d)) for r, d in quotients)
+                quotients = tuple((parse_int(r), parse_int(d)) for r, d in quotients)
             except (TypeError, ValueError):
                 raise InputError("hn must be a list of [rank, degree] pairs") from None
         return cls(rank, degree, quotients, name=str(obj.get("name", "E")))
@@ -149,7 +149,8 @@ class SurfaceBundleData:
     """Numerical data of a bundle on a surface.
 
     ``c1`` holds coordinates in the base's Neron-Severi basis and ``gram`` the
-    intersection matrix of that basis, so c1 can be squared exactly.
+    intersection matrix of that basis; c1^2 and c2(End) are taken on the
+    space preset (``SpacePreset.c2_end``).
     ``semistable`` is an asserted input flag, never computed.
     """
 
@@ -170,14 +171,6 @@ class SurfaceBundleData:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "c2", Fraction(self.c2))
 
-    @property
-    def c1_squared(self):
-        total = Fraction(0)
-        for i, x in enumerate(self.c1):
-            for j, y in enumerate(self.c1):
-                total += x * self.gram[i][j] * y
-        return total
-
     def to_json(self):
         return {
             "rank": self.rank,
@@ -189,15 +182,9 @@ class SurfaceBundleData:
     @classmethod
     def from_json(cls, obj, gram):
         try:
-            rank = int(obj["rank"])
+            rank = parse_int(obj["rank"])
             c1 = tuple(parse_rational(x) for x in obj["c1"])
             c2 = parse_rational(obj["c2"])
         except (KeyError, TypeError, ValueError):
             raise InputError("surface bundle record needs rank, c1, c2") from None
-        return cls(rank, c1, c2, bool(obj.get("semistable", False)), gram)
-
-
-def c2_end(data):
-    """Second Chern class of the endomorphism bundle: 2r*c2 - (r-1)*c1^2."""
-    r = data.rank
-    return 2 * r * data.c2 - (r - 1) * data.c1_squared
+        return cls(rank, c1, c2, parse_bool(obj.get("semistable", False)), gram)

@@ -12,11 +12,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import bundles as bn
-from .cones import Pairing, RationalCone, equals
+from .cones import Pairing, RationalCone
 from .errors import InputError, InternalError
 from .ring import (
+    PROJ_BUNDLE_OVER_RULED_SURFACE,
     PROJ_BUNDLE_OVER_SURFACE_RHO1,
     SpacePreset,
+    _KINDS,
     _pmul,
     build_lambda_ring_surface,
 )
@@ -56,7 +58,7 @@ def _report(space, k, basis, nef, psef):
                 "nef cone escapes the pseudoeffective cone at generator "
                 + str(g)
             )
-    return ConeReport(space, k, tuple(basis), nef, psef, equals(nef, psef))
+    return ConeReport(space, k, tuple(basis), nef, psef, nef == psef)
 
 
 def miyaoka_cones(bundle):
@@ -74,16 +76,15 @@ def miyaoka_cones(bundle):
     return _report(preset, 1, ("xi", "f"), nef, psef)
 
 
-def _fibre_preset(first, second):
+def _check_ranks(first, second):
     if first.rank < 2 or second.rank < 2:
         raise InputError("projectivization needs rank at least 2")
-    return SpacePreset.fibre_product(first.rank, second.rank, first.degree, second.degree)
 
 
 def nef_fibre_product(first, second):
     """Nef cone of the fibre product, basis (xi, zeta, F): each factor
     contributes its minimal-slope ray."""
-    _fibre_preset(first, second)
+    _check_ranks(first, second)
     return RationalCone(
         3,
         [(1, 0, -bn.mu_min(first)), (0, 1, -bn.mu_min(second)), (0, 0, 1)],
@@ -97,7 +98,7 @@ def psef_fibre_product(first, second):
     factors it collapses onto the nef cone, and for unstable ones the first
     two rays are the classes of the destabilizing subbundle loci.
     """
-    _fibre_preset(first, second)
+    _check_ranks(first, second)
     return RationalCone(
         3,
         [(1, 0, -bn.mu_max(first)), (0, 1, -bn.mu_max(second)), (0, 0, 1)],
@@ -106,9 +107,9 @@ def psef_fibre_product(first, second):
 
 def fibre_product_cones(first, second):
     """ConeReport wrapper around the two fibre product closed forms."""
-    preset = _fibre_preset(first, second)
+    _check_ranks(first, second)
     return _report(
-        preset,
+        SpacePreset.fibre_product(first.rank, second.rank, first.degree, second.degree),
         1,
         ("xi", "zeta", "F"),
         nef_fibre_product(first, second),
@@ -175,23 +176,22 @@ def iterated_fibre_product_cones(tower):
         if stage == 1:
             preset = SpacePreset.curve(tower[0].rank, tower[0].degree)
         elif stage == 2:
-            preset = _fibre_preset(tower[0], tower[1])
+            preset = SpacePreset.fibre_product(
+                tower[0].rank, tower[1].rank, tower[0].degree, tower[1].degree
+            )
         reports.append(_report(preset, 1, labels, cone, cone))
     return reports
 
 
 def _nef_divisor_generators(preset, ring):
-    """Degree-1 generators of the nef cone in the lambda-basis ring."""
-
-    def gen(name, scale=1):
-        mono = tuple(1 if g == name else 0 for g in ring.gens)
-        return {mono: Fraction(scale)}
-
-    if preset.kind == PROJ_BUNDLE_OVER_SURFACE_RHO1:
-        return [gen("lambda"), gen("piL")]
-    eta_minus_mu_f = gen("piEta")
-    eta_minus_mu_f.update({next(iter(gen("piF"))): -preset.mu})
-    return [gen("lambda"), eta_minus_mu_f, gen("piF")]
+    """Degree-1 generators of the nef cone in the lambda-basis ring: lambda
+    and the pullbacks of the base's nef generators."""
+    width = len(ring.gens)
+    unit = [tuple(int(j == i) for j in range(width)) for i in range(width)]
+    rays = _KINDS[preset.kind].nef_divisors(preset)
+    return [{unit[0]: Fraction(1)}] + [
+        {unit[1 + j]: Fraction(c) for j, c in enumerate(ray) if c} for ray in rays
+    ]
 
 
 def homogeneity_cones(preset, k):
@@ -241,7 +241,7 @@ def k_homogeneous_check(preset, k):
     """True when the codimension-k psef and nef cones coincide, derived from
     first principles only."""
     psef, nef, _ = homogeneity_cones(preset, k)
-    return equals(psef, nef)
+    return psef == nef
 
 
 def eff_k_surface_rho1(rank, k, L2):
@@ -258,7 +258,7 @@ def eff_k_surface_rho1(rank, k, L2):
     preset = SpacePreset.surface_rho1(rank, L2, 0, 0)
     psef, nef, labels = homogeneity_cones(preset, k)
     orthant = RationalCone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    if not equals(psef, orthant):
+    if psef != orthant:
         raise InternalError("closed-form orthant drifted from the product cone")
     return _report(preset, k, labels, nef, orthant)
 
@@ -280,9 +280,26 @@ def eff_k_ruled(rank, k, mu):
         4,
         [(1, 0, 0, 0), (0, 1, -mu, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
     )
-    if not equals(psef, closed):
+    if psef != closed:
         raise InternalError("closed-form cone drifted from the product cone")
     return _report(preset, k, labels, nef, closed)
+
+
+# The closed forms of each surface kind: its divisor cone, and its report in
+# codimension 1 < k < rank. They are written here, apart from the kind table
+# that homogeneity_cones reads, so that either side checks the other.
+_CLOSED_FORMS = {
+    PROJ_BUNDLE_OVER_SURFACE_RHO1: (
+        lambda p: semistable_bundle_cone(("L",), p.rank),
+        lambda p, k: eff_k_surface_rho1(p.rank, k, p.L2),
+    ),
+    PROJ_BUNDLE_OVER_RULED_SURFACE: (
+        # base rays eta - mu*f and f, written in the (lambda, piEta, piF)
+        # coordinates alongside lambda itself
+        lambda p: RationalCone(3, [(1, 0, 0), (0, 1, -p.mu), (0, 0, 1)]),
+        lambda p, k: eff_k_ruled(p.rank, k, p.mu),
+    ),
+}
 
 
 def surface_cone_report(preset, k):
@@ -290,19 +307,11 @@ def surface_cone_report(preset, k):
     case, orthant over base generators) and 1 < k < rank (monomial bases)."""
     if not preset.is_surface:
         raise InputError("invalid preset: expected a surface-base preset")
-    if k == 1:
-        psef, nef, labels = homogeneity_cones(preset, 1)
-        if preset.kind == PROJ_BUNDLE_OVER_SURFACE_RHO1:
-            closed = semistable_bundle_cone(("L",), preset.rank)
-        else:
-            # base rays eta - mu*f and f, written in the (lambda, piEta, piF)
-            # coordinates alongside lambda itself
-            closed = RationalCone(
-                3, [(1, 0, 0), (0, 1, -preset.mu), (0, 0, 1)]
-            )
-        if not equals(psef, closed):
-            raise InternalError("divisor cone drifted from the product cone")
-        return _report(preset, 1, labels, nef, closed)
-    if preset.kind == PROJ_BUNDLE_OVER_SURFACE_RHO1:
-        return eff_k_surface_rho1(preset.rank, k, preset.L2)
-    return eff_k_ruled(preset.rank, k, preset.mu)
+    divisor_cone, higher = _CLOSED_FORMS[preset.kind]
+    if k != 1:
+        return higher(preset, k)
+    psef, nef, labels = homogeneity_cones(preset, 1)
+    closed = divisor_cone(preset)
+    if psef != closed:
+        raise InternalError("divisor cone drifted from the product cone")
+    return _report(preset, 1, labels, nef, closed)

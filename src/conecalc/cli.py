@@ -11,7 +11,6 @@ import argparse
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .bundles import HNCurveBundle, SurfaceBundleData
 from .catalog import (
@@ -20,17 +19,11 @@ from .catalog import (
     miyaoka_cones,
     surface_cone_report,
 )
+from .cones import inequality_text
 from .errors import InputError, InternalError
 from .rationals import format_rational, parse_rational
-from .ring import (
-    FIBRE_PRODUCT_OVER_CURVE,
-    PROJ_BUNDLE_OVER_CURVE,
-    SpacePreset,
-    build_curve_bundle_ring,
-    build_fibre_product_ring,
-    build_lambda_ring_surface,
-)
-from .selftest import CHECKS, run_check
+from .ring import FIBRE_PRODUCT_OVER_CURVE, PROJ_BUNDLE_OVER_CURVE, SpacePreset, _KINDS
+from .selftest import CHECKS, run_check, run_selftest
 from .zariski import decompose
 
 
@@ -76,27 +69,24 @@ def parse_workspace(data):
     if not isinstance(base, dict):
         _fail("base", "missing or not an object")
     base_kind = base.get("kind")
-    if base_kind not in ("curve", "surface_rho1", "ruled_surface"):
-        _fail("base.kind", f"unknown base kind {base_kind!r}")
-    if base_kind == "surface_rho1":
+    # the kind record of a surface base; None over a curve
+    surface = None
+    if base_kind != "curve":
+        surface = next(
+            (s for s in _KINDS.values() if s.base is not None and s.base == base_kind), None
+        )
+        if surface is None:
+            _fail("base.kind", f"unknown base kind {base_kind!r}")
+        path = f"base.{surface.param}"
         try:
-            L2 = parse_rational(base["L2"])
+            param = parse_rational(base[surface.param])
         except KeyError:
-            _fail("base.L2", "missing")
+            _fail(path, "missing")
         except InputError as err:
-            raise _rescope("base.L2", err) from None
-        if L2 <= 0:
-            _fail("base.L2", "must be positive")
-        gram = ((L2,),)
-    elif base_kind == "ruled_surface":
-        try:
-            mu = parse_rational(base["mu"])
-        except KeyError:
-            _fail("base.mu", "missing")
-        except InputError as err:
-            raise _rescope("base.mu", err) from None
-        one = Fraction(1)
-        gram = ((2 * mu, one), (one, Fraction(0)))
+            raise _rescope(path, err) from None
+        if surface.positive and param <= 0:
+            _fail(path, "must be positive")
+        gram = surface.gram(param)
 
     records = obj.get("bundles")
     if not isinstance(records, list) or not records:
@@ -112,10 +102,10 @@ def parse_workspace(data):
         if name in bundles:
             _fail(f"{path}.name", f"duplicate bundle name {name!r}")
         try:
-            if base_kind == "curve":
+            if surface is None:
                 bundles[name] = HNCurveBundle.from_json(record)
             else:
-                want = 1 if base_kind == "surface_rho1" else 2
+                want = len(surface.divisors)
                 c1 = record.get("c1", ())
                 if not isinstance(c1, list) or len(c1) != want:
                     _fail(f"{path}.c1", f"needs {want} coordinate(s) for this base")
@@ -136,19 +126,17 @@ def parse_workspace(data):
     if space_kind == "proj_bundle":
         bundle = resolve("space.bundle", space.get("bundle"))
         try:
-            if base_kind == "curve":
+            if surface is None:
                 preset = SpacePreset.curve(bundle.rank, bundle.degree)
             elif not bundle.semistable:
                 _fail("space.bundle", "surface presets need a semistable bundle")
-            elif base_kind == "surface_rho1":
-                preset = SpacePreset.surface_rho1(bundle.rank, L2, bundle.c1[0], bundle.c2)
             else:
-                preset = SpacePreset.ruled_surface(bundle.rank, mu, bundle.c1, bundle.c2)
+                preset = surface.from_base(bundle.rank, param, bundle.c1, bundle.c2)
         except InputError as err:
             raise _rescope("space", err) from None
         selected = ("proj_bundle", bundle)
     elif space_kind == "fibre_product":
-        if base_kind != "curve":
+        if surface is not None:
             _fail("space", "fibre products are supported over curve bases only")
         factors = space.get("factors")
         if not isinstance(factors, list) or len(factors) != 2:
@@ -217,28 +205,25 @@ def _parse_k(flags, default=1):
         raise InputError(f"flag --k needs an integer, got {raw!r}") from None
 
 
-def _space_ring(spec):
-    preset = spec.preset
-    if preset.kind == PROJ_BUNDLE_OVER_CURVE:
-        return build_curve_bundle_ring(preset.rank, preset.degree)
-    if preset.kind == FIBRE_PRODUCT_OVER_CURVE:
-        return build_fibre_product_ring(
-            preset.rank, preset.rank2, preset.degree, preset.degree2
-        )
-    return build_lambda_ring_surface(preset)
+# the closed-form report of each curve-base kind on the workspace's space,
+# and the error for a k other than 1
+_CURVE_REPORTS = {
+    PROJ_BUNDLE_OVER_CURVE: (miyaoka_cones, "curve spaces only carry k = 1 divisor cones"),
+    FIBRE_PRODUCT_OVER_CURVE: (
+        lambda pair: fibre_product_cones(*pair),
+        "fibre product cones are computed for k = 1 only",
+    ),
+}
 
 
 def _cone_report(spec, k):
     preset = spec.preset
-    if preset.kind == PROJ_BUNDLE_OVER_CURVE:
-        if k != 1:
-            raise InputError("curve spaces only carry k = 1 divisor cones")
-        return miyaoka_cones(spec.space[1])
-    if preset.kind == FIBRE_PRODUCT_OVER_CURVE:
-        if k != 1:
-            raise InputError("fibre product cones are computed for k = 1 only")
-        return fibre_product_cones(*spec.space[1])
-    return surface_cone_report(spec.preset, k)
+    if preset.is_surface:
+        return surface_cone_report(preset, k)
+    report, message = _CURVE_REPORTS[preset.kind]
+    if k != 1:
+        raise InputError(message)
+    return report(spec.space[1])
 
 
 def _parse_class(spec, tokens, expected):
@@ -260,25 +245,10 @@ def _format_vector(vec):
     return "(" + ", ".join(format_rational(x) for x in vec) + ")"
 
 
-def _inequality_text(kind, normal, labels):
-    parts = []
-    for coef, label in zip(normal, labels):
-        if coef == 0:
-            continue
-        if coef == 1:
-            parts.append(f"[{label}]")
-        elif coef == -1:
-            parts.append(f"-[{label}]")
-        else:
-            parts.append(f"{format_rational(coef)}*[{label}]")
-    lhs = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-    return f"{lhs} = 0" if kind == "span" else f"{lhs} >= 0"
-
-
 def _cmd_ring(spec, rest, json_output):
     if not rest or rest[0] != "eval" or len(rest) < 2:
         raise InputError("usage: ring eval <expression>")
-    ring = _space_ring(spec)
+    ring = _KINDS[spec.preset.kind].ring(spec.preset)
     cls = ring.normal_form(" ".join(rest[1:]))
     if json_output:
         payload = cls.to_json()
@@ -345,7 +315,7 @@ def _cmd_member(spec, rest, json_output):
     if hit is None:
         return 0, f"member of {which} cone: yes"
     kind, normal, value = hit
-    text = _inequality_text(kind, normal, report.basis)
+    text = inequality_text(kind, normal, [f"[{label}]" for label in report.basis])
     return 1, (
         f"member of {which} cone: no\n"
         f"violated inequality: {text} (value {format_rational(value)})"
@@ -409,11 +379,7 @@ def _cmd_selftest(json_output):
             all_ok = all_ok and ok
         return (0 if all_ok else 1), _dump({"ok": all_ok, "results": results})
     stream = io.StringIO()
-    all_ok = True
-    for index in range(len(CHECKS)):
-        name, ok, detail = run_check(index)
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=stream)
-        all_ok = all_ok and ok
+    all_ok = run_selftest(stream)
     return (0 if all_ok else 1), stream.getvalue().rstrip("\n")
 
 

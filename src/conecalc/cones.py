@@ -214,7 +214,11 @@ class RationalCone:
     def __eq__(self, other):
         if not isinstance(other, RationalCone):
             return NotImplemented
-        return equals(self, other)
+        if self.dim != other.dim:
+            return False
+        return all(other.contains(g) for g in self.generators) and all(
+            self.contains(g) for g in other.generators
+        )
 
     def __hash__(self):
         raise TypeError("RationalCone is not hashable")
@@ -307,21 +311,19 @@ class RationalCone:
         return cls(dim, gens)
 
 
-def contains(cone, vector):
-    return cone.contains(vector)
-
-
-def dual(cone, pairing=None):
-    return cone.dual(pairing)
-
-
-def equals(a, b):
-    if a.dim != b.dim:
-        return False
-    return all(b.contains(g) for g in a.generators) and all(
-        a.contains(g) for g in b.generators
-    )
-
-
-def extremal_rays(cone):
-    return cone.extremal_rays()
+def inequality_text(kind, normal, labels):
+    """A violated constraint from ``violated_constraint`` as text, one label
+    per coordinate: 'a - 2*c >= 0' for a facet, '... = 0' for a span
+    equation."""
+    parts = []
+    for coef, label in zip(normal, labels):
+        if coef == 0:
+            continue
+        if coef == 1:
+            parts.append(label)
+        elif coef == -1:
+            parts.append(f"-{label}")
+        else:
+            parts.append(f"{format_rational(coef)}*{label}")
+    lhs = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    return f"{lhs} = 0" if kind == "span" else f"{lhs} >= 0"

@@ -2,7 +2,9 @@
 
 Rationals cross the JSON boundary as strings "p/q" with q > 0 and
 gcd(p, q) = 1, or a bare "p" when the value is an integer. Plain ints are
-accepted on input for convenience; floats never are.
+accepted on input for convenience; floats never are. Integers and booleans
+are read strictly: a JSON integer where an int is due, a JSON bool where a
+flag is due, and nothing that merely converts to one.
 """
 
 from fractions import Fraction
@@ -26,6 +28,19 @@ def parse_rational(value):
         except (ValueError, ZeroDivisionError):
             raise InputError(f"malformed rational: {value!r}") from None
     raise InputError(f"malformed rational: {value!r}")
+
+
+def parse_int(value):
+    # bool is a subclass of int; a float or "2" only converts to one
+    if type(value) is not int:
+        raise InputError(f"malformed integer: {value!r}")
+    return value
+
+
+def parse_bool(value):
+    if type(value) is not bool:
+        raise InputError(f"malformed boolean: {value!r}")
+    return value
 
 
 def format_rational(value):

@@ -9,13 +9,18 @@ Every rule strictly decreases the lexicographic order on exponent tuples
 (generators are listed fibre class first, base pullbacks next, point-fibre
 class last), so reduction terminates no matter the order rules are applied
 in; confluence on the published monomial sets is asserted by test.
+
+The four space presets differ only through one record each in the kind
+table ``_KINDS``: their fields and JSON form, ring builder, and for surface
+bases the base parameter, divisor names, Gram form and c1 coordinates.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import InputError, InternalError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_int, parse_rational
 
 
 def format_monomial(gens, mono):
@@ -430,8 +435,6 @@ FIBRE_PRODUCT_OVER_CURVE = "fibre_product_over_curve"
 PROJ_BUNDLE_OVER_SURFACE_RHO1 = "proj_bundle_over_surface_rho1"
 PROJ_BUNDLE_OVER_RULED_SURFACE = "proj_bundle_over_ruled_surface"
 
-_SURFACE_KINDS = (PROJ_BUNDLE_OVER_SURFACE_RHO1, PROJ_BUNDLE_OVER_RULED_SURFACE)
-
 
 @dataclass(frozen=True)
 class SpacePreset:
@@ -440,6 +443,9 @@ class SpacePreset:
     Use the classmethod constructors; they validate the preset contracts
     (ranks at least 2, positive L2, and 2r*c2 = (r-1)*c1^2 for surface
     presets, the condition under which the lambda-basis presentation holds).
+    Everything else that differs between kinds (JSON form, rank checks,
+    ring builder, surface base data) comes from the kind's record in the
+    kind table ``_KINDS``.
     """
 
     kind: str
@@ -453,67 +459,66 @@ class SpacePreset:
     mu: Fraction = None
     c1: tuple = None
 
+    def _checked(self):
+        spec = _KINDS[self.kind]
+        for name in spec.ranks:
+            if getattr(self, name) < 2:
+                raise InputError(spec.rank_error)
+        if spec.gram is not None:
+            if spec.positive and getattr(self, spec.param) <= 0:
+                raise InputError(f"invalid preset: {spec.param} must be positive")
+            _require_c2_end_zero(self)
+        return self
+
     @classmethod
     def curve(cls, rank, degree):
-        if rank < 2:
-            raise InputError("invalid preset: rank must be at least 2")
-        return cls(kind=PROJ_BUNDLE_OVER_CURVE, rank=int(rank), degree=int(degree))
+        return cls(PROJ_BUNDLE_OVER_CURVE, rank=int(rank), degree=int(degree))._checked()
 
     @classmethod
     def fibre_product(cls, m, n, d, d2):
-        if m < 2 or n < 2:
-            raise InputError("invalid preset: both ranks must be at least 2")
         return cls(
-            kind=FIBRE_PRODUCT_OVER_CURVE,
-            rank=int(m),
-            degree=int(d),
-            rank2=int(n),
-            degree2=int(d2),
-        )
+            FIBRE_PRODUCT_OVER_CURVE, rank=int(m), degree=int(d), rank2=int(n), degree2=int(d2)
+        )._checked()
 
     @classmethod
     def surface_rho1(cls, rank, L2, e, c2):
-        L2, e, c2 = Fraction(L2), Fraction(e), Fraction(c2)
-        if rank < 2:
-            raise InputError("invalid preset: rank must be at least 2")
-        if L2 <= 0:
-            raise InputError("invalid preset: L2 must be positive")
-        preset = cls(kind=PROJ_BUNDLE_OVER_SURFACE_RHO1, rank=int(rank), L2=L2, e=e, c2=c2)
-        _require_c2_end_zero(preset)
-        return preset
+        return cls(
+            PROJ_BUNDLE_OVER_SURFACE_RHO1,
+            rank=int(rank),
+            L2=Fraction(L2),
+            e=Fraction(e),
+            c2=Fraction(c2),
+        )._checked()
 
     @classmethod
     def ruled_surface(cls, rank, mu, c1, c2):
-        mu, c2 = Fraction(mu), Fraction(c2)
-        c1 = tuple(Fraction(x) for x in c1)
-        if rank < 2:
-            raise InputError("invalid preset: rank must be at least 2")
-        if len(c1) != 2:
-            raise InputError("invalid preset: c1 needs coordinates in (eta, f)")
-        preset = cls(kind=PROJ_BUNDLE_OVER_RULED_SURFACE, rank=int(rank), mu=mu, c1=c1, c2=c2)
-        _require_c2_end_zero(preset)
-        return preset
+        return cls(
+            PROJ_BUNDLE_OVER_RULED_SURFACE,
+            rank=int(rank),
+            mu=Fraction(mu),
+            c1=_eta_f_coords(c1),
+            c2=Fraction(c2),
+        )._checked()
 
     @property
     def is_surface(self):
-        return self.kind in _SURFACE_KINDS
+        return _KINDS[self.kind].gram is not None
+
+    def _surface(self):
+        spec = _KINDS[self.kind]
+        if spec.gram is None:
+            raise InputError(f"{self.kind} has no surface base")
+        return spec
 
     @property
     def base_gram(self):
         """Intersection matrix of the base surface's published divisor basis."""
-        if self.kind == PROJ_BUNDLE_OVER_SURFACE_RHO1:
-            return ((self.L2,),)
-        if self.kind == PROJ_BUNDLE_OVER_RULED_SURFACE:
-            return ((2 * self.mu, Fraction(1)), (Fraction(1), Fraction(0)))
-        raise InputError(f"{self.kind} has no surface base")
+        spec = self._surface()
+        return spec.gram(getattr(self, spec.param))
 
     @property
     def c1_coords(self):
-        if self.kind == PROJ_BUNDLE_OVER_SURFACE_RHO1:
-            return (self.e,)
-        if self.kind == PROJ_BUNDLE_OVER_RULED_SURFACE:
-            return self.c1
-        raise InputError(f"{self.kind} has no surface base")
+        return self._surface().c1(self)
 
     @property
     def c1_squared(self):
@@ -527,65 +532,28 @@ class SpacePreset:
 
     @property
     def c2_end(self):
+        """Second Chern class of the endomorphism bundle: 2r*c2 - (r-1)*c1^2."""
         return 2 * self.rank * self.c2 - (self.rank - 1) * self.c1_squared
 
     def to_json(self):
         out = {"kind": self.kind}
-        if self.kind == PROJ_BUNDLE_OVER_CURVE:
-            out.update({"rank": self.rank, "degree": self.degree})
-        elif self.kind == FIBRE_PRODUCT_OVER_CURVE:
-            out.update(
-                {
-                    "rank": self.rank,
-                    "degree": self.degree,
-                    "rank2": self.rank2,
-                    "degree2": self.degree2,
-                }
-            )
-        elif self.kind == PROJ_BUNDLE_OVER_SURFACE_RHO1:
-            out.update(
-                {
-                    "rank": self.rank,
-                    "L2": format_rational(self.L2),
-                    "e": format_rational(self.e),
-                    "c2": format_rational(self.c2),
-                }
-            )
-        else:
-            out.update(
-                {
-                    "rank": self.rank,
-                    "mu": format_rational(self.mu),
-                    "c1": [format_rational(x) for x in self.c1],
-                    "c2": format_rational(self.c2),
-                }
-            )
+        for name, (_, write) in _KINDS[self.kind].fields:
+            out[name] = write(getattr(self, name))
         return out
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise InputError("preset record must be a JSON object")
         kind = obj.get("kind")
-        if kind == PROJ_BUNDLE_OVER_CURVE:
-            return cls.curve(int(obj["rank"]), int(obj["degree"]))
-        if kind == FIBRE_PRODUCT_OVER_CURVE:
-            return cls.fibre_product(
-                int(obj["rank"]), int(obj["rank2"]), int(obj["degree"]), int(obj["degree2"])
-            )
-        if kind == PROJ_BUNDLE_OVER_SURFACE_RHO1:
-            return cls.surface_rho1(
-                int(obj["rank"]),
-                parse_rational(obj["L2"]),
-                parse_rational(obj["e"]),
-                parse_rational(obj["c2"]),
-            )
-        if kind == PROJ_BUNDLE_OVER_RULED_SURFACE:
-            return cls.ruled_surface(
-                int(obj["rank"]),
-                parse_rational(obj["mu"]),
-                tuple(parse_rational(x) for x in obj["c1"]),
-                parse_rational(obj["c2"]),
-            )
-        raise InputError(f"unknown preset kind {kind!r}")
+        spec = _KINDS.get(kind) if isinstance(kind, str) else None
+        if spec is None:
+            raise InputError(f"unknown preset kind {kind!r}")
+        try:
+            values = {name: read(obj[name]) for name, (read, _) in spec.fields}
+        except KeyError as err:
+            raise InputError(f"preset record needs {err.args[0]}") from None
+        return cls(kind, **values)._checked()
 
 
 def _require_c2_end_zero(preset):
@@ -685,10 +653,7 @@ def build_xi_ring_surface(preset):
     """Xi-basis presentation over a surface; the oracle for the lambda basis."""
     if not preset.is_surface:
         raise InputError("invalid preset: expected a surface-base preset")
-    if preset.kind == PROJ_BUNDLE_OVER_SURFACE_RHO1:
-        names = ("piL",)
-    else:
-        names = ("piEta", "piF")
+    names = _KINDS[preset.kind].divisors
     return _surface_xi_ring(
         preset, preset.rank, names, preset.base_gram, preset.c1_coords, preset.c2
     )
@@ -699,34 +664,32 @@ def build_lambda_ring_surface(preset):
 
     Generators (lambda, base pullbacks, F) with lambda^rank = 0, base products
     landing on F through the base intersection form, and lambda^(rank-1)*F the
-    top monomial.
+    top monomial. The rules are written out here, apart from the xi-basis
+    builder, so that the xi basis stays an independent check on them.
     """
     if not preset.is_surface:
         raise InputError("invalid preset: expected a surface-base preset")
     _require_c2_end_zero(preset)
-    r = preset.rank
-    if preset.kind == PROJ_BUNDLE_OVER_SURFACE_RHO1:
-        L2 = preset.L2
-        gens = ("lambda", "piL", "F")
-        rules = [
-            ((r, 0, 0), {}),
-            ((0, 2, 0), {(0, 0, 1): L2}),
-            ((0, 1, 1), {}),
-            ((0, 0, 2), {}),
-        ]
-        return IntersectionRing(preset, gens, (1, 1, 2), r + 1, rules, (r - 1, 0, 1))
-    mu = preset.mu
-    gens = ("lambda", "piEta", "piF", "F")
-    rules = [
-        ((r, 0, 0, 0), {}),
-        ((0, 2, 0, 0), {(0, 0, 0, 1): 2 * mu}),
-        ((0, 1, 1, 0), {(0, 0, 0, 1): Fraction(1)}),
-        ((0, 0, 2, 0), {}),
-        ((0, 1, 0, 1), {}),
-        ((0, 0, 1, 1), {}),
-        ((0, 0, 0, 2), {}),
+    r, gram = preset.rank, preset.base_gram
+    names = _KINDS[preset.kind].divisors
+    width = len(names) + 2
+    unit = [tuple(int(j == i) for j in range(width)) for i in range(width)]
+    base, F = unit[1:-1], unit[-1]
+
+    def times(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    rules = [((r,) + (0,) * (width - 1), {})]
+    rules += [
+        (times(base[i], base[j]), {F: gram[i][j]})
+        for i in range(len(base))
+        for j in range(i, len(base))
     ]
-    return IntersectionRing(preset, gens, (1, 1, 1, 2), r + 1, rules, (r - 1, 0, 0, 1))
+    rules += [(times(b, F), {}) for b in base]
+    rules.append((times(F, F), {}))
+    gens = ("lambda",) + names + ("F",)
+    degrees = (1,) * (width - 1) + (2,)
+    return IntersectionRing(preset, gens, degrees, r + 1, rules, (r - 1,) + F[1:])
 
 
 def verify_lambda_vanishing(rank, c1_squared, c2):
@@ -744,3 +707,88 @@ def verify_lambda_vanishing(rank, c1_squared, c2):
     lam = {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(-1, rank)}
     power = _ppow(lam, rank, 3)
     return ring.normal_form(power, degree=rank).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+
+
+def _eta_f_coords(value):
+    coords = tuple(Fraction(x) for x in value)
+    if len(coords) != 2:
+        raise InputError("invalid preset: c1 needs coordinates in (eta, f)")
+    return coords
+
+
+def _read_eta_f(value):
+    if not isinstance(value, list):
+        raise InputError(f"malformed coordinate list: {value!r}")
+    return _eta_f_coords(parse_rational(x) for x in value)
+
+
+# (JSON reader, JSON writer) of each field shape
+_INT = (parse_int, int)
+_RATIONAL = (parse_rational, format_rational)
+_ETA_F = (_read_eta_f, lambda c1: [format_rational(x) for x in c1])
+
+
+class _Kind(SimpleNamespace):
+    """What sets one preset kind apart: one record of the kind table.
+
+    ``fields`` pairs each field's name with its JSON (reader, writer), in
+    JSON order; the fields named in ``ranks`` must be at least 2, else
+    ``rank_error``. ``ring`` builds a preset's intersection ring; it looks
+    the builder up when called, so a replaced module attribute is seen. A
+    surface kind also has the workspace ``base`` kind it sits over, that
+    base's parameter field ``param`` (``positive`` when it must be), the
+    base ``divisors`` of its rings, the base ``gram`` form as a function of
+    the parameter, a preset's ``c1`` coordinates, ``from_base`` to build a
+    preset from workspace data (rank, parameter, c1 coordinates, c2), and
+    the base's ``nef_divisors`` in the divisor basis. Only the
+    first-principles cones read the last; the closed forms keep their own
+    table in the catalog.
+    """
+
+    ranks = ("rank",)
+    rank_error = "invalid preset: rank must be at least 2"
+    base = param = gram = c1 = from_base = nef_divisors = None
+    positive = False
+    divisors = ()
+
+
+_KINDS = {
+    PROJ_BUNDLE_OVER_CURVE: _Kind(
+        fields=(("rank", _INT), ("degree", _INT)),
+        ring=lambda p: build_curve_bundle_ring(p.rank, p.degree),
+    ),
+    FIBRE_PRODUCT_OVER_CURVE: _Kind(
+        fields=(("rank", _INT), ("degree", _INT), ("rank2", _INT), ("degree2", _INT)),
+        ranks=("rank", "rank2"),
+        rank_error="invalid preset: both ranks must be at least 2",
+        ring=lambda p: build_fibre_product_ring(p.rank, p.rank2, p.degree, p.degree2),
+    ),
+    PROJ_BUNDLE_OVER_SURFACE_RHO1: _Kind(
+        fields=(("rank", _INT), ("L2", _RATIONAL), ("e", _RATIONAL), ("c2", _RATIONAL)),
+        ring=lambda p: build_lambda_ring_surface(p),
+        base="surface_rho1",
+        param="L2",
+        positive=True,
+        divisors=("piL",),
+        gram=lambda L2: ((L2,),),
+        c1=lambda p: (p.e,),
+        from_base=lambda rank, L2, c1, c2: SpacePreset.surface_rho1(rank, L2, *c1, c2),
+        nef_divisors=lambda p: ((1,),),
+    ),
+    PROJ_BUNDLE_OVER_RULED_SURFACE: _Kind(
+        fields=(("rank", _INT), ("mu", _RATIONAL), ("c1", _ETA_F), ("c2", _RATIONAL)),
+        ring=lambda p: build_lambda_ring_surface(p),
+        base="ruled_surface",
+        param="mu",
+        divisors=("piEta", "piF"),
+        gram=lambda mu: ((2 * mu, Fraction(1)), (Fraction(1), Fraction(0))),
+        c1=lambda p: p.c1,
+        from_base=SpacePreset.ruled_surface,
+        # eta - mu*f and f
+        nef_divisors=lambda p: ((1, -p.mu), (0, 1)),
+    ),
+}

@@ -20,7 +20,7 @@ from .catalog import (
     psef_fibre_product,
     surface_cone_report,
 )
-from .cones import RationalCone, equals
+from .cones import RationalCone
 from .errors import InputError, InternalError
 from .ring import SpacePreset, build_fibre_product_ring, verify_lambda_vanishing
 from .zariski import decompose, verify
@@ -215,7 +215,7 @@ def check_corank_one_cones(rng):
             3,
             [(1, 0, Fraction(d1 - first.degree)), second_ray, (0, 0, 1)],
         )
-        if not equals(literal, psef_fibre_product(first, second)):
+        if literal != psef_fibre_product(first, second):
             bad.append(f"{first.quotients} x {second.quotients}")
     if bad:
         return False, f"{len(bad)} of 100 configurations failed; first: {bad[0]}"
@@ -295,7 +295,7 @@ def check_k_homogeneity(rng):
                 continue
             report = surface_cone_report(preset, k)
             psef_d, nef_d, _ = homogeneity_cones(preset, k)
-            if not (equals(report.psef, psef_d) and equals(report.nef, nef_d)):
+            if not (report.psef == psef_d and report.nef == nef_d):
                 bad.append(f"report drift: {preset.kind} rank {preset.rank} k={k}")
     total = sum(p.rank - 1 for p in presets)
     if bad:

@@ -4,11 +4,11 @@ bundles over a curve.
 A pseudoeffective divisor class a*xi + b*zeta + c*F is split into a nef
 part P and an effective part N by walking the Harder-Narasimhan ladders of
 the two bundles. Every ladder step is recorded as a numerical blow-up
-ledger entry (center rank plus exceptional multiplicity); the coordinate
-transport along a step is the identity, so the input coordinates ride the
-whole chain unchanged. Certificates are dumb value objects: `verify`
-re-derives every claim from the two bundles alone, and `decompose` refuses
-to return a certificate its own verifier rejects.
+ledger entry (center rank plus exceptional multiplicity); the coordinates
+(a, b, c) name the same class on every model of the chain, so the input
+coordinates ride the whole chain unchanged. Certificates are dumb value
+objects: `verify` re-derives every claim from the two bundles alone, and
+`decompose` refuses to return a certificate its own verifier rejects.
 """
 
 from dataclasses import dataclass, replace
@@ -17,55 +17,35 @@ from fractions import Fraction
 from . import bundles as bn
 from .bundles import HNCurveBundle
 from .catalog import nef_fibre_product, psef_fibre_product
-from .cones import primitive
+from .cones import inequality_text, primitive
 from .errors import InputError, InternalError
 from .rationals import format_rational, parse_rational
-from .ring import build_fibre_product_ring
+from .ring import NumClass, build_fibre_product_ring
 
 BOTH_SEMISTABLE = "both_semistable"
 ONE_CORANK_ONE = "one_corank_one"
 BOTH_CORANK_ONE = "both_corank_one"
 TERMINAL_CASES = (BOTH_SEMISTABLE, ONE_CORANK_ONE, BOTH_CORANK_ONE)
 
-_COORD_NAMES = ("a", "b", "c")
-
-
-def _as_coords(cls):
-    """Normalize a divisor class to its (a, b, c) coordinate triple."""
-    if hasattr(cls, "coordinates"):
-        if cls.degree != 1 or len(cls.gens) != 3:
-            raise InputError("expected a divisor class with three generators")
-        return tuple(cls.coordinates(_IDENTITY_BASIS))
-    coords = tuple(
-        parse_rational(x) if isinstance(x, str) else Fraction(x) for x in cls
-    )
-    if len(coords) != 3:
-        raise InputError("divisor coordinates must be a triple (a, b, c)")
-    return coords
-
-
 _IDENTITY_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _class_coords(cls):
-    if cls.degree != 1 or len(cls.gens) != 3:
-        raise InputError("expected a divisor class on the fibre product")
-    return tuple(cls.coordinates(_IDENTITY_BASIS))
-
-
-def _inequality_text(kind, normal):
-    parts = []
-    for coef, name in zip(normal, _COORD_NAMES):
-        if coef == 0:
-            continue
-        if coef == 1:
-            parts.append(name)
-        elif coef == -1:
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"{format_rational(coef)}*{name}")
-    lhs = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-    return f"{lhs} = 0" if kind == "span" else f"{lhs} >= 0"
+def _coords(cls):
+    """The (a, b, c) coordinates of a divisor class on the fibre product,
+    given as a ring class or as a triple of rationals."""
+    if isinstance(cls, NumClass):
+        if cls.degree != 1 or len(cls.gens) != 3:
+            raise InputError("expected a divisor class on the fibre product")
+        return cls.coordinates(_IDENTITY_BASIS)
+    try:
+        coords = tuple(
+            parse_rational(x) if isinstance(x, str) else Fraction(x) for x in cls
+        )
+    except (TypeError, ValueError, OverflowError):
+        coords = ()
+    if len(coords) != 3:
+        raise InputError("divisor coordinates must be a triple (a, b, c)")
+    return coords
 
 
 def _require_psef(coords, cone):
@@ -74,7 +54,8 @@ def _require_psef(coords, cone):
         kind, normal, value = hit
         raise InputError(
             "class is not pseudoeffective: violated inequality "
-            f"{_inequality_text(kind, normal)} (value {format_rational(value)})"
+            f"{inequality_text(kind, normal, ('a', 'b', 'c'))} "
+            f"(value {format_rational(value)})"
         )
 
 
@@ -194,10 +175,10 @@ class ZariskiCertificate:
             "input": [format_rational(x) for x in self.input_coords],
             "steps": [step.to_json() for step in self.steps],
             "terminal": self.terminal_case,
-            "P": [format_rational(x) for x in _class_coords(self.P)],
+            "P": [format_rational(x) for x in _coords(self.P)],
             "N": [
                 {
-                    "gen": [format_rational(x) for x in _class_coords(gen)],
+                    "gen": [format_rational(x) for x in _coords(gen)],
                     "coeff": format_rational(coeff),
                 }
                 for gen, coeff in self.N
@@ -241,16 +222,6 @@ class ZariskiCertificate:
         return cls(input_coords, tuple(steps), terminal, P, tuple(N), verified)
 
 
-def coordinate_transport(cls):
-    """Transport of (a, b, c) along one reduction step: the identity.
-
-    Named so the chain's basis relabeling is an explicit, logged operation
-    rather than an implicit assumption; defined on all coordinate triples,
-    not just the pseudoeffective ones.
-    """
-    return _as_coords(cls)
-
-
 def reduce_step(bundle, cls, factor="first", psef_cone=None):
     """One reduction step on one factor, or None when the factor is
     terminal-shaped (semistable, or minimal-slope quotient of corank one).
@@ -260,7 +231,7 @@ def reduce_step(bundle, cls, factor="first", psef_cone=None):
     """
     if factor not in ("first", "second"):
         raise InputError(f"unknown factor {factor!r}")
-    coords = _as_coords(cls)
+    coords = _coords(cls)
     if psef_cone is not None:
         _require_psef(coords, psef_cone)
     if _terminal_shaped(bundle):
@@ -273,7 +244,7 @@ def reduce_step(bundle, cls, factor="first", psef_cone=None):
         bundle.quotients[0][0],
         mult,
     )
-    return step, coordinate_transport(coords)
+    return step, coords
 
 
 def terminal_decompose(first, second, cls):
@@ -287,7 +258,7 @@ def terminal_decompose(first, second, cls):
     """
     if not (_terminal_shaped(first) and _terminal_shaped(second)):
         raise InputError("factors are not terminal-shaped; reduce them first")
-    a, b, c = _as_coords(cls)
+    a, b, c = _coords(cls)
     mu1 = bn.mu_max(first)
     mu2 = bn.mu_max(second)
     c_top = c + a * mu1 + b * mu2
@@ -324,7 +295,7 @@ def terminal_decompose(first, second, cls):
         if b:
             N.append((cls_at((0, 1, -mu2)), b))
         P = cls_at((0, 0, c_top))
-    if not nef_fibre_product(first, second).contains(_class_coords(P)):
+    if not nef_fibre_product(first, second).contains(_coords(P)):
         raise InternalError("terminal nef part escaped the nef cone")
     return P, tuple(N)
 
@@ -334,12 +305,12 @@ def decompose(first, second, cls, order="first_then_second"):
 
     Each factor is reduced along its ladder until terminal-shaped (first
     factor first by default; the terminal data is order-independent because
-    the transport is the identity), then the terminal split is taken. The
+    no step changes the coordinates), then the terminal split is taken. The
     certificate is verified before being returned.
     """
     if order not in ("first_then_second", "second_then_first"):
         raise InputError(f"unknown reduction order {order!r}")
-    coords = _as_coords(cls)
+    coords = _coords(cls)
     psef = psef_fibre_product(first, second)
     _require_psef(coords, psef)
     chain = [first, second]
@@ -360,7 +331,7 @@ def decompose(first, second, cls, order="first_then_second"):
         raise InternalError("pseudoeffective cone drifted along the chain")
     P, N = terminal_decompose(chain[0], chain[1], coords)
     cert = ZariskiCertificate(
-        input_coords=_as_coords(cls),
+        input_coords=coords,
         steps=tuple(steps),
         terminal_case=_terminal_label(chain[0], chain[1]),
         P=P,
@@ -388,11 +359,13 @@ def verify(cert, first, second):
     """Re-check a certificate from scratch against the two bundles.
 
     Replays the reduction chain (corank hypothesis, center ranks, reduced
-    bundles, multiplicities equal to the transported coordinates), then
-    checks multiplicities and N coefficients for sign, P for nef membership,
-    N generators against the terminal effective generators, and the sum
-    P + N against the transported input. Never raises; returns a
-    VerifyResult that is falsy when any reason was collected.
+    bundles, multiplicities equal to the input coordinates), then checks
+    multiplicities and N coefficients for sign, P for nef membership, N
+    generators against the terminal effective generators, and the sum P + N
+    against the input. P and the N generators may be ring classes or
+    coordinate triples, as `decompose` takes them; anything else is a
+    reason. Never raises; returns a VerifyResult that is falsy when any
+    reason was collected.
     """
     reasons = []
     if first.rank < 2 or second.rank < 2:
@@ -434,8 +407,8 @@ def verify(cert, first, second):
     if cert.terminal_case != expected_case:
         reasons.append(f"terminal case label should be {expected_case!r}")
     try:
-        p_coords = _class_coords(cert.P)
-        n_parts = [(_class_coords(gen), coeff) for gen, coeff in cert.N]
+        p_coords = _coords(cert.P)
+        n_parts = [(_coords(gen), coeff) for gen, coeff in cert.N]
     except (InputError, InternalError) as err:
         reasons.append(str(err))
         return VerifyResult(False, tuple(reasons))
@@ -454,7 +427,7 @@ def verify(cert, first, second):
         else:
             reasons.append("zero N generator")
         total = [t + coeff * g for t, g in zip(total, gen_coords)]
-    if tuple(total) != tuple(coordinate_transport(cert.input_coords)):
+    if tuple(total) != cert.input_coords:
         reasons.append("P + N does not reproduce the input class")
     return VerifyResult(not reasons, tuple(reasons))
 

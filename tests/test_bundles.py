@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conecalc.bundles import (
     HNCurveBundle,
     SurfaceBundleData,
-    c2_end,
     mu_max,
     mu_min,
     slope,
@@ -19,6 +18,7 @@ from conecalc.bundles import (
     validate_hn,
 )
 from conecalc.errors import InputError
+from conecalc.ring import PROJ_BUNDLE_OVER_SURFACE_RHO1, SpacePreset
 
 
 def test_slope_examples():
@@ -89,11 +89,14 @@ def test_sym_rank_matches_binomial():
 
 
 def test_c2_end():
-    gram = ((1,),)
-    assert c2_end(SurfaceBundleData(2, (2,), 1, True, gram)) == 0
-    assert c2_end(SurfaceBundleData(2, (0,), 0, True, gram)) == 0
-    data = SurfaceBundleData(3, (1,), 2, True, ((3,),))
-    assert c2_end(data) == 2 * 3 * 2 - 2 * 3
+    # c2(End) lives on the preset; its constructors demand it vanish, so the
+    # nonzero case is built field by field
+    assert SpacePreset.surface_rho1(2, 1, 2, 1).c2_end == 0
+    assert SpacePreset.surface_rho1(2, 1, 0, 0).c2_end == 0
+    data = SpacePreset(
+        PROJ_BUNDLE_OVER_SURFACE_RHO1, rank=3, L2=Fraction(3), e=Fraction(1), c2=Fraction(2)
+    )
+    assert data.c2_end == 2 * 3 * 2 - 2 * 3
 
 
 def test_bundle_json_round_trip():

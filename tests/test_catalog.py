@@ -18,7 +18,7 @@ from conecalc.catalog import (
     semistable_bundle_cone,
     surface_cone_report,
 )
-from conecalc.cones import RationalCone, equals
+from conecalc.cones import RationalCone
 from conecalc.errors import InputError
 from conecalc.ring import SpacePreset, build_lambda_ring_surface
 
@@ -43,7 +43,7 @@ def test_miyaoka_semistable():
     assert report.basis == ("xi", "f")
     assert report.k == 1
     assert report.equal
-    assert equals(report.nef, RationalCone(2, [(1, 0), (0, 1)]))
+    assert report.nef == RationalCone(2, [(1, 0), (0, 1)])
 
     steep = miyaoka_cones(HNCurveBundle(2, 3))
     assert steep.equal
@@ -53,8 +53,8 @@ def test_miyaoka_semistable():
 def test_miyaoka_unstable():
     report = miyaoka_cones(HNCurveBundle(2, 0, [(1, -1), (1, 1)]))
     assert not report.equal
-    assert equals(report.nef, RationalCone(2, [(1, 1), (0, 1)]))
-    assert equals(report.psef, RationalCone(2, [(1, -1), (0, 1)]))
+    assert report.nef == RationalCone(2, [(1, 1), (0, 1)])
+    assert report.psef == RationalCone(2, [(1, -1), (0, 1)])
     for g in report.nef.generators:
         assert report.psef.contains(g)
 
@@ -71,24 +71,24 @@ def test_nef_fibre_product_examples():
     mixed = nef_fibre_product(
         HNCurveBundle(2, 0, [(1, -1), (1, 1)]), HNCurveBundle(2, 0)
     )
-    assert equals(mixed, RationalCone(3, [(1, 0, 1), (0, 1, 0), (0, 0, 1)]))
+    assert mixed == RationalCone(3, [(1, 0, 1), (0, 1, 0), (0, 0, 1)])
 
     slopes = nef_fibre_product(HNCurveBundle(3, 2), HNCurveBundle(2, 1))
-    assert equals(slopes, RationalCone(3, [(3, 0, -2), (0, 2, -1), (0, 0, 1)]))
+    assert slopes == RationalCone(3, [(3, 0, -2), (0, 2, -1), (0, 0, 1)])
 
 
 def test_psef_fibre_product_examples():
     one = psef_fibre_product(
         HNCurveBundle(2, 0, [(1, -1), (1, 1)]), HNCurveBundle(2, 0)
     )
-    assert equals(one, RationalCone(3, [(1, 0, -1), (0, 1, 0), (0, 0, 1)]))
+    assert one == RationalCone(3, [(1, 0, -1), (0, 1, 0), (0, 0, 1)])
 
     unstable = HNCurveBundle(2, 0, [(1, -1), (1, 1)])
     both = psef_fibre_product(unstable, unstable)
-    assert equals(both, RationalCone(3, [(1, 0, -1), (0, 1, -1), (0, 0, 1)]))
+    assert both == RationalCone(3, [(1, 0, -1), (0, 1, -1), (0, 0, 1)])
 
     a, b = HNCurveBundle(3, 2), HNCurveBundle(2, 1)
-    assert equals(psef_fibre_product(a, b), nef_fibre_product(a, b))
+    assert psef_fibre_product(a, b) == nef_fibre_product(a, b)
 
 
 def test_fibre_product_report_equal_iff_semistable():
@@ -128,10 +128,10 @@ def test_tower_reports():
         assert report.basis[-1] == "F"
     # single-bundle stage matches the curve-base closed form
     solo = iterated_fibre_product_cones([HNCurveBundle(2, 3)])[0]
-    assert equals(solo.nef, miyaoka_cones(HNCurveBundle(2, 3)).nef)
+    assert solo.nef == miyaoka_cones(HNCurveBundle(2, 3)).nef
     # two-bundle stage matches the fibre product closed form
     pair = iterated_fibre_product_cones(tower[:2])[1]
-    assert equals(pair.nef, nef_fibre_product(tower[0], tower[1]))
+    assert pair.nef == nef_fibre_product(tower[0], tower[1])
 
 
 def test_tower_empty_and_unstable():
@@ -180,9 +180,7 @@ def test_eff_k_rho1_reports():
         for k in range(2, rank):
             report = eff_k_surface_rho1(rank, k, 2)
             assert report.equal
-            assert equals(
-                report.psef, RationalCone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-            )
+            assert report.psef == RationalCone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(InputError):
         eff_k_surface_rho1(3, 1, 1)
     with pytest.raises(InputError):
@@ -192,11 +190,8 @@ def test_eff_k_rho1_reports():
 def test_eff_k_ruled_reports():
     zero = eff_k_ruled(3, 2, 0)
     assert zero.equal
-    assert equals(
-        zero.psef,
-        RationalCone(
-            4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-        ),
+    assert zero.psef == RationalCone(
+        4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     )
     one = eff_k_ruled(3, 2, 1)
     assert one.equal
@@ -215,7 +210,7 @@ def test_k_homogeneous_check_examples():
 def test_homogeneity_cones_shape():
     psef, nef, labels = homogeneity_cones(rho1(3, 2, 3), 1)
     assert labels == ("lambda", "piL")
-    assert equals(psef, nef)
+    assert psef == nef
     with pytest.raises(InputError):
         homogeneity_cones(rho1(3, 1), 3)
     with pytest.raises(InputError):
@@ -229,10 +224,7 @@ def test_surface_cone_report_dispatch():
 
     ruled_divisor = surface_cone_report(ruled(3, Fraction(3, 2)), 1)
     assert ruled_divisor.equal
-    assert equals(
-        ruled_divisor.psef,
-        RationalCone(3, [(1, 0, 0), (0, 2, -3), (0, 0, 1)]),
-    )
+    assert ruled_divisor.psef == RationalCone(3, [(1, 0, 0), (0, 2, -3), (0, 0, 1)])
 
     deep = surface_cone_report(rho1(4, 1), 2)
     assert deep.k == 2 and deep.equal
@@ -244,10 +236,10 @@ def test_constructors_match_first_principles():
         for k in range(2, rank):
             report = eff_k_surface_rho1(rank, k, 3)
             psef, nef, _ = homogeneity_cones(rho1(rank, 3), k)
-            assert equals(report.psef, psef) and equals(report.nef, nef)
+            assert report.psef == psef and report.nef == nef
             ruled_report = eff_k_ruled(rank, k, Fraction(-1, 2))
             psef, nef, _ = homogeneity_cones(ruled(rank, Fraction(-1, 2)), k)
-            assert equals(ruled_report.psef, psef) and equals(ruled_report.nef, nef)
+            assert ruled_report.psef == psef and ruled_report.nef == nef
 
 
 def test_report_json_shape():
@@ -257,4 +249,4 @@ def test_report_json_shape():
     assert payload["basis"] == ["xi", "zeta", "F"]
     assert payload["equal"] is True
     restored = RationalCone.from_json(payload["nef"])
-    assert equals(restored, report.nef)
+    assert restored == report.nef

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conecalc import cli
-from conecalc.cones import RationalCone, equals
+from conecalc.cones import RationalCone
 from conecalc.errors import InputError, InternalError
 from conecalc.ring import FIBRE_PRODUCT_OVER_CURVE
 from conecalc.zariski import ZariskiCertificate, verify
@@ -157,7 +157,7 @@ def test_cone_json_round_trips(tmp_path, capsys):
     assert payload["equal"] is False
     assert payload["basis"] == ["xi", "zeta", "F"]
     restored = RationalCone.from_json(payload)
-    assert equals(restored, RationalCone(3, [(1, 0, -1), (0, 1, 0), (0, 0, 1)]))
+    assert restored == RationalCone(3, [(1, 0, -1), (0, 1, 0), (0, 0, 1)])
 
 
 def test_json_flag_after_command(tmp_path, capsys):
@@ -331,3 +331,45 @@ def test_selftest_json(capsys):
     assert payload["ok"] is True
     assert len(payload["results"]) == 9
     assert all(entry["ok"] for entry in payload["results"])
+
+
+@pytest.mark.parametrize(
+    "bundle, message",
+    [
+        ({"rank": 2.9, "degree": 0}, "malformed integer: 2.9"),
+        ({"rank": True, "degree": 0}, "malformed integer: True"),
+        ({"rank": "2", "degree": 0}, "malformed integer: '2'"),
+        ({"rank": 2, "degree": 0.0}, "malformed integer: 0.0"),
+        ({"rank": 2, "degree": 0, "hn": [[1, -1], [1.0, 1]]}, "malformed integer: 1.0"),
+    ],
+)
+def test_curve_bundle_integers_are_strict(tmp_path, capsys, bundle, message):
+    workspace = {
+        "base": {"kind": "curve"},
+        "bundles": [{"name": "E", **bundle}],
+        "space": {"kind": "proj_bundle", "bundle": "E"},
+    }
+    code, out = run(capsys, ["-w", ws_file(tmp_path, workspace), "cone", "nef"])
+    assert (code, out) == (2, f"error: bundles[0]: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("semistable", "false", "malformed boolean: 'false'"),
+        ("semistable", 1, "malformed boolean: 1"),
+        ("rank", 4.0, "malformed integer: 4.0"),
+    ],
+)
+def test_surface_bundle_fields_are_strict(tmp_path, capsys, field, value, message):
+    record = {"name": "V", "rank": 4, "c1": ["2"], "c2": "9/2", "semistable": True}
+    workspace = {
+        "base": {"kind": "surface_rho1", "L2": "3"},
+        "bundles": [{**record, field: value}],
+        "space": {"kind": "proj_bundle", "bundle": "V"},
+    }
+    code, out = run(capsys, ["-w", ws_file(tmp_path, workspace), "cone", "nef"])
+    assert (code, out) == (2, f"error: bundles[0]: {message}\n")
+    workspace["bundles"] = [record]
+    code, _ = run(capsys, ["-w", ws_file(tmp_path, workspace), "cone", "nef"])
+    assert code == 0

@@ -11,9 +11,6 @@ from conecalc.cones import (
     Pairing,
     RationalCone,
     _dd_rays,
-    dual,
-    equals,
-    extremal_rays,
     primitive,
 )
 from conecalc.errors import InputError
@@ -45,12 +42,12 @@ def test_contains_dimension_mismatch():
 
 
 def test_dual_examples():
-    assert equals(OCTANT3.dual(), OCTANT3)
+    assert OCTANT3.dual() == OCTANT3
     wedge = RationalCone(2, [(1, 0), (1, 1)])
-    assert equals(wedge.dual(), RationalCone(2, [(0, 1), (1, -1)]))
+    assert wedge.dual() == RationalCone(2, [(0, 1), (1, -1)])
     swap = Pairing([[0, 1], [1, 0]])
     quadrant = RationalCone(2, [(1, 0), (0, 1)])
-    assert equals(quadrant.dual(swap), quadrant)
+    assert quadrant.dual(swap) == quadrant
 
 
 def test_dual_of_zero_cone_is_whole_space():
@@ -68,37 +65,35 @@ def test_dual_involutive():
         RationalCone(2, [(1, 0), (-1, 0), (0, 1)]),  # half plane
     ]
     for cone in cones:
-        assert equals(dual(dual(cone)), cone)
+        assert cone.dual().dual() == cone
 
 
 def test_equals_examples():
-    assert equals(OCTANT3, RationalCone(3, [(0, 0, 1), (1, 0, 0), (0, 1, 0)]))
+    assert OCTANT3 == RationalCone(3, [(0, 0, 1), (1, 0, 0), (0, 1, 0)])
     half = RationalCone(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert not equals(OCTANT3, half)
-    assert equals(
-        RationalCone(2, [(1, 0), (0, 1), (1, 1)]), RationalCone(2, [(1, 0), (0, 1)])
-    )
-    assert not equals(OCTANT3, RationalCone(2, [(1, 0), (0, 1)]))
+    assert OCTANT3 != half
+    assert RationalCone(2, [(1, 0), (0, 1), (1, 1)]) == RationalCone(2, [(1, 0), (0, 1)])
+    assert OCTANT3 != RationalCone(2, [(1, 0), (0, 1)])
 
 
 def test_extremal_rays_examples():
-    assert set(extremal_rays(RationalCone(2, [(1, 0), (0, 1), (1, 1)]))) == {
+    assert set(RationalCone(2, [(1, 0), (0, 1), (1, 1)]).extremal_rays()) == {
         (1, 0),
         (0, 1),
     }
-    assert set(extremal_rays(OCTANT3)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert set(OCTANT3.extremal_rays()) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     cone = RationalCone(3, [(2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 1)])
-    assert set(extremal_rays(cone)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert set(cone.extremal_rays()) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def test_extremal_rays_irredundant():
     cone = RationalCone(3, [(1, 0, -1), (0, 1, -1), (0, 0, 1), (1, 1, -1)])
-    rays = extremal_rays(cone)
+    rays = cone.extremal_rays()
     for ray in rays:
         others = [r for r in rays if r != ray]
         smaller = RationalCone(3, others) if others else None
         assert smaller is None or not smaller.contains(ray)
-    assert equals(cone, RationalCone(3, rays))
+    assert cone == RationalCone(3, rays)
 
 
 def test_generators_canonical():
@@ -191,7 +186,7 @@ def test_dual_pairs_nonnegatively(gens):
     for y in d.generators:
         for g in cone.generators:
             assert sum(a * b for a, b in zip(y, g)) >= 0
-    assert equals(d.dual(), cone)
+    assert d.dual() == cone
 
 
 # --- differential tests: every facet table must equal double description ---

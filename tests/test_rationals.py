@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conecalc.errors import InputError
-from conecalc.rationals import format_rational, parse_rational
+from conecalc.rationals import format_rational, parse_bool, parse_int, parse_rational
 
 
 def test_parse_integers_and_fractions():
@@ -47,3 +47,14 @@ def test_round_trip(value):
         assert "/" not in text
     else:
         assert text.split("/")[1].lstrip("-") == text.split("/")[1]
+
+
+def test_strict_int_and_bool():
+    assert parse_int(-3) == -3
+    assert parse_bool(False) is False
+    for bad in (2.9, 3.0, True, "2", None, Fraction(2)):
+        with pytest.raises(InputError):
+            parse_int(bad)
+    for bad in ("false", 0, 1, None):
+        with pytest.raises(InputError):
+            parse_bool(bad)

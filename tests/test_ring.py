@@ -1,5 +1,6 @@
 """Intersection rings: published product tables, normal forms, bases."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -113,6 +114,31 @@ def test_lambda_ring_basics():
 def test_lambda_ring_requires_vanishing_c2_end():
     with pytest.raises(InputError):
         SpacePreset.surface_rho1(2, 1, 2, 0)
+
+
+def test_preset_json_round_trip():
+    presets = [
+        SpacePreset.curve(3, -2),
+        SpacePreset.fibre_product(2, 4, -1, 3),
+        rho1_preset(3, Fraction(5, 3), Fraction(-3, 2)),
+        ruled_preset(4, Fraction(-1, 2), (Fraction(3, 2), Fraction(-2, 3))),
+    ]
+    for preset in presets:
+        payload = json.loads(json.dumps(preset.to_json()))
+        assert SpacePreset.from_json(payload) == preset
+    curve = presets[0].to_json()
+    for bad in (
+        {**curve, "kind": "proj_bundle_over_threefold"},
+        {**curve, "rank": 2.5},
+        {**curve, "rank": 3.0},
+        {**curve, "rank": "3"},
+        {**curve, "rank": True},
+        {"kind": curve["kind"], "rank": 3},
+        {**presets[3].to_json(), "c1": "12"},
+        [curve],
+    ):
+        with pytest.raises(InputError):
+            SpacePreset.from_json(bad)
 
 
 def _mul(a, b):

@@ -9,11 +9,10 @@ import pytest
 from conecalc.bundles import HNCurveBundle
 from conecalc.catalog import psef_fibre_product
 from conecalc.errors import InputError
-from conecalc.ring import build_fibre_product_ring
+from conecalc.ring import build_curve_bundle_ring, build_fibre_product_ring
 from conecalc.zariski import (
     ReductionStep,
     ZariskiCertificate,
-    coordinate_transport,
     decompose,
     extremal_ray_decompositions,
     reduce_step,
@@ -29,12 +28,6 @@ LADDER3 = HNCurveBundle(3, 4, [(1, 0), (2, 4)])
 def coords(cls):
     ring_basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     return cls.coordinates(ring_basis)
-
-
-def test_coordinate_transport_identity():
-    assert coordinate_transport((1, 2, 3)) == (1, 2, 3)
-    assert coordinate_transport((0, 0, 0)) == (0, 0, 0)
-    assert coordinate_transport((-1, 0, 5)) == (-1, 0, 5)
 
 
 def test_reduce_step():
@@ -193,6 +186,21 @@ def test_verify_wrong_terminal_label():
     result = verify(bad, UN2, SS2)
     assert not result
     assert any("terminal case" in r for r in result.reasons)
+
+
+def test_verify_reports_unusable_classes():
+    cert = decompose(UN2, SS2, (1, 1, 0))
+    # decompose takes a triple as a class, so verify judges one by value
+    assert verify(replace(cert, P=(0, 1, 1)), UN2, SS2)
+    assert "P + N does not reproduce the input class" in verify(
+        replace(cert, P=(0, 1, 2)), UN2, SS2
+    ).reasons
+    other = build_curve_bundle_ring(2, 0).class_from_coordinates(1, (0, 1))
+    result = verify(replace(cert, P=other), UN2, SS2)
+    assert result.reasons == ("expected a divisor class on the fibre product",)
+    for bad in (("x", 1, 1), (None, 1, 1), 7, (0, 1)):
+        assert not verify(replace(cert, P=bad), UN2, SS2)
+        assert not verify(replace(cert, N=((bad, 1),)), UN2, SS2)
 
 
 def test_verify_broken_sum():
