@@ -183,6 +183,8 @@ class SurfaceBundleData:
     def from_json(cls, obj, gram):
         try:
             rank = parse_int(obj["rank"])
+            if not isinstance(obj["c1"], list):
+                raise InputError(f"malformed coordinate list: {obj['c1']!r}")
             c1 = tuple(parse_rational(x) for x in obj["c1"])
             c2 = parse_rational(obj["c2"])
         except (KeyError, TypeError, ValueError):

@@ -58,7 +58,9 @@ def _report(space, k, basis, nef, psef):
                 "nef cone escapes the pseudoeffective cone at generator "
                 + str(g)
             )
-    return ConeReport(space, k, tuple(basis), nef, psef, nef == psef)
+    # nef is inside psef by now, so the cones are equal iff psef is inside nef
+    equal = all(nef.contains(g) for g in psef.generators)
+    return ConeReport(space, k, tuple(basis), nef, psef, equal)
 
 
 def miyaoka_cones(bundle):

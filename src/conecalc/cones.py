@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_int, parse_rational
 
 DEFAULT_MAX_DIM = 6
 
@@ -170,15 +170,6 @@ class Pairing:
     def standard(cls, dim):
         return cls(tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)))
 
-    def apply(self, u, v):
-        if len(u) != self.dim or len(v) != self.dim:
-            raise InputError("vector length does not match the pairing")
-        return sum(
-            Fraction(u[i]) * self.matrix[i][j] * Fraction(v[j])
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
-
 
 class RationalCone:
     """Finitely generated convex cone over the rationals.
@@ -304,7 +295,7 @@ class RationalCone:
     @classmethod
     def from_json(cls, obj):
         try:
-            dim = int(obj["dim"])
+            dim = parse_int(obj["dim"])
             gens = [tuple(parse_rational(x) for x in g) for g in obj["generators"]]
         except (KeyError, TypeError, ValueError):
             raise InputError("cone record needs dim and generators") from None

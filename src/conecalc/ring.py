@@ -303,7 +303,7 @@ class IntersectionRing:
 
     def class_from_json(self, obj):
         try:
-            degree = int(obj["degree"])
+            degree = parse_int(obj["degree"])
             terms = obj["terms"]
         except (KeyError, TypeError, ValueError):
             raise InputError("class record needs degree and terms") from None

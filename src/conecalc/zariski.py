@@ -19,7 +19,7 @@ from .bundles import HNCurveBundle
 from .catalog import nef_fibre_product, psef_fibre_product
 from .cones import inequality_text, primitive
 from .errors import InputError, InternalError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_bool, parse_rational
 from .ring import NumClass, build_fibre_product_ring
 
 BOTH_SEMISTABLE = "both_semistable"
@@ -194,7 +194,7 @@ class ZariskiCertificate:
             terminal = obj["terminal"]
             p_coords = tuple(parse_rational(x) for x in obj["P"])
             n_objs = list(obj["N"])
-            verified = bool(obj["verified"])
+            verified = parse_bool(obj["verified"])
         except (KeyError, TypeError):
             raise InputError("malformed certificate record") from None
         # rebuild steps in chain order so from_bundle links stay consistent
@@ -222,39 +222,40 @@ class ZariskiCertificate:
         return cls(input_coords, tuple(steps), terminal, P, tuple(N), verified)
 
 
-def reduce_step(bundle, cls, factor="first", psef_cone=None):
-    """One reduction step on one factor, or None when the factor is
-    terminal-shaped (semistable, or minimal-slope quotient of corank one).
+def reduce_step(bundle, cls, factor="first"):
+    """One reduction step on one factor, as a `ReductionStep`, or None when
+    the factor is terminal-shaped (semistable, or minimal-slope quotient of
+    corank one).
 
-    When ``psef_cone`` is supplied the class is first checked against it
-    and a non-member is rejected with the violated facet inequality.
+    The exceptional multiplicity is the class's xi (first factor) or zeta
+    (second factor) coefficient. The class is not tested for
+    pseudoeffectivity: no step changes its coordinates, so `decompose` tests
+    it once, on entry.
     """
     if factor not in ("first", "second"):
         raise InputError(f"unknown factor {factor!r}")
     coords = _coords(cls)
-    if psef_cone is not None:
-        _require_psef(coords, psef_cone)
     if _terminal_shaped(bundle):
         return None
-    mult = coords[0] if factor == "first" else coords[1]
-    step = ReductionStep(
+    return ReductionStep(
         factor,
         bundle,
         bn.sub_bundle_after_step(bundle, 1),
         bundle.quotients[0][0],
-        mult,
+        coords[0] if factor == "first" else coords[1],
     )
-    return step, coords
 
 
 def terminal_decompose(first, second, cls):
     """Split a class on a terminal-shaped pair into (P, N).
 
     The identity cls = a*(xi - mu_max*F) + b*(zeta - mu'_max*F) + c''*F with
-    c'' = c + a*mu_max + b*mu'_max drives everything: unstable factors send
-    their term to N (those rays are classes of actual subbundle loci),
-    semistable factors and the F term stay in P. Pseudoeffectivity is
-    exactly nonnegativity of the three expansion coefficients.
+    c'' = c + a*mu_max + b*mu'_max drives everything: each unstable factor
+    sends its term to N (those rays are classes of actual subbundle loci)
+    and moves its mu_max multiple onto F; semistable factors and the F term
+    stay in P. Pseudoeffectivity is exactly nonnegativity of the three
+    expansion coefficients, and is checked here for direct callers. P is
+    not re-tested for nefness; `verify` does that.
     """
     if not (_terminal_shaped(first) and _terminal_shaped(second)):
         raise InputError("factors are not terminal-shaped; reduce them first")
@@ -279,25 +280,15 @@ def terminal_decompose(first, second, cls):
         return ring.class_from_coordinates(1, coords)
 
     N = []
-    if first.semistable and second.semistable:
-        P = cls_at((a, b, c))
-    elif second.semistable:
+    if not first.semistable:
         if a:
             N.append((cls_at((1, 0, -mu1)), a))
-        P = cls_at((0, b, c + a * mu1))
-    elif first.semistable:
+        a, c = 0, c + a * mu1
+    if not second.semistable:
         if b:
             N.append((cls_at((0, 1, -mu2)), b))
-        P = cls_at((a, 0, c + b * mu2))
-    else:
-        if a:
-            N.append((cls_at((1, 0, -mu1)), a))
-        if b:
-            N.append((cls_at((0, 1, -mu2)), b))
-        P = cls_at((0, 0, c_top))
-    if not nef_fibre_product(first, second).contains(_coords(P)):
-        raise InternalError("terminal nef part escaped the nef cone")
-    return P, tuple(N)
+        b, c = 0, c + b * mu2
+    return cls_at((a, b, c)), tuple(N)
 
 
 def decompose(first, second, cls, order="first_then_second"):
@@ -305,30 +296,25 @@ def decompose(first, second, cls, order="first_then_second"):
 
     Each factor is reduced along its ladder until terminal-shaped (first
     factor first by default; the terminal data is order-independent because
-    no step changes the coordinates), then the terminal split is taken. The
-    certificate is verified before being returned.
+    no step changes the coordinates), then the terminal split is taken.
+    Pseudoeffectivity is tested once, on entry, against the psef cone of
+    the input pair; a non-member is rejected with the violated facet
+    inequality. Peeling minimal-slope quotients keeps mu_max, so that cone
+    is the terminal pair's too. The certificate is verified, nefness of P
+    included, before being returned.
     """
     if order not in ("first_then_second", "second_then_first"):
         raise InputError(f"unknown reduction order {order!r}")
     coords = _coords(cls)
-    psef = psef_fibre_product(first, second)
-    _require_psef(coords, psef)
+    _require_psef(coords, psef_fibre_product(first, second))
     chain = [first, second]
     steps = []
     sequence = (0, 1) if order == "first_then_second" else (1, 0)
     for idx in sequence:
         factor = "first" if idx == 0 else "second"
-        while True:
-            got = reduce_step(chain[idx], coords, factor=factor, psef_cone=psef)
-            if got is None:
-                break
-            step, coords = got
+        while (step := reduce_step(chain[idx], coords, factor=factor)) is not None:
             steps.append(step)
             chain[idx] = step.to_bundle
-    # peeling minimal-slope quotients never touches the deepest piece, so
-    # the mu_max closed form must be stable along the whole chain
-    if psef_fibre_product(chain[0], chain[1]) != psef:
-        raise InternalError("pseudoeffective cone drifted along the chain")
     P, N = terminal_decompose(chain[0], chain[1], coords)
     cert = ZariskiCertificate(
         input_coords=coords,

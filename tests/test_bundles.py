@@ -106,6 +106,12 @@ def test_bundle_json_round_trip():
     assert SurfaceBundleData.from_json(s.to_json(), ((1,),)) == s
 
 
+def test_surface_bundle_c1_must_be_a_list():
+    record = {"rank": 2, "c1": "12", "c2": "0"}
+    with pytest.raises(InputError, match="malformed coordinate list: '12'"):
+        SurfaceBundleData.from_json(record, ((1, 0), (0, 1)))
+
+
 ladders = st.lists(
     st.tuples(st.integers(1, 4), st.integers(-8, 8)), min_size=1, max_size=4
 )

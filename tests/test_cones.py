@@ -145,6 +145,11 @@ def test_json_round_trip():
         RationalCone.from_json({"generators": [["1"]]})
 
 
+def test_from_json_reads_dim_strictly():
+    with pytest.raises(InputError, match="malformed integer: 2.9"):
+        RationalCone.from_json({"dim": 2.9, "generators": [["1", "0"]]})
+
+
 def test_not_hashable():
     with pytest.raises(TypeError):
         hash(OCTANT3)

@@ -284,6 +284,12 @@ def test_class_json_round_trip():
     assert back.coeffs == cls.coeffs and back.degree == cls.degree
 
 
+def test_class_from_json_reads_degree_strictly():
+    ring = build_fibre_product_ring(3, 2, 4, -1)
+    with pytest.raises(InputError, match="malformed integer: True"):
+        ring.class_from_json({"degree": True, "terms": []})
+
+
 def test_class_from_coordinates_round_trip():
     ring = build_fibre_product_ring(2, 3, 1, 2)
     basis = ring.basis(2)

@@ -3,11 +3,14 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import floor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conecalc.bundles import HNCurveBundle
-from conecalc.catalog import psef_fibre_product
+from conecalc.catalog import nef_fibre_product, psef_fibre_product
 from conecalc.errors import InputError
 from conecalc.ring import build_curve_bundle_ring, build_fibre_product_ring
 from conecalc.zariski import (
@@ -31,14 +34,13 @@ def coords(cls):
 
 
 def test_reduce_step():
-    step, after = reduce_step(LADDER3, (2, 1, 5))
+    step = reduce_step(LADDER3, (2, 1, 5))
     assert step.exceptional_multiplicity == 2
     assert step.blowup_center_rank == 1
     assert (step.to_bundle.rank, step.to_bundle.degree) == (2, 4)
     assert step.to_bundle.semistable
-    assert after == (2, 1, 5)
 
-    zero_mult, _ = reduce_step(
+    zero_mult = reduce_step(
         HNCurveBundle(4, 0, [(1, -2), (1, 0), (2, 2)]), (0, 3, 1)
     )
     assert zero_mult.exceptional_multiplicity == 0
@@ -49,23 +51,46 @@ def test_reduce_step():
 
 
 def test_reduce_step_second_factor():
-    step, _ = reduce_step(LADDER3, (2, 7, 5), factor="second")
+    step = reduce_step(LADDER3, (2, 7, 5), factor="second")
     assert step.exceptional_multiplicity == 7
     with pytest.raises(InputError):
         reduce_step(LADDER3, (1, 0, 0), factor="both")
 
 
-def test_reduce_step_rejects_non_psef_when_cone_given():
-    cone = psef_fibre_product(LADDER3, SS2)
-    with pytest.raises(InputError) as err:
-        reduce_step(LADDER3, (-1, 0, 0), psef_cone=cone)
-    assert "not pseudoeffective" in str(err.value)
+@st.composite
+def ladders(draw):
+    """A valid quotient ladder of 1 to 4 pieces, slopes strictly rising."""
+    quotients = []
+    for _ in range(draw(st.integers(1, 4))):
+        rank = draw(st.integers(1, 3))
+        if quotients:
+            low = floor(Fraction(quotients[-1][1], quotients[-1][0]) * rank) + 1
+        else:
+            low = -4
+        quotients.append((rank, draw(st.integers(low, low + 3))))
+    rank = sum(r for r, _ in quotients)
+    degree = sum(d for _, d in quotients)
+    return HNCurveBundle(rank, degree, quotients)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ladders(), ladders())
+def test_reduction_chain_keeps_the_psef_cone(first, second):
+    # decompose tests pseudoeffectivity once, against the input pair's cone,
+    # so that cone must be the terminal pair's cone too
+    assume(first.rank >= 2 and second.rank >= 2)
+    chain = [first, second]
+    for idx, factor in enumerate(("first", "second")):
+        while (step := reduce_step(chain[idx], (1, 1, 0), factor=factor)) is not None:
+            chain[idx] = step.to_bundle
+    assert psef_fibre_product(*chain) == psef_fibre_product(first, second)
 
 
 def test_terminal_decompose_both_semistable():
     P, N = terminal_decompose(SS2, SS2, (1, 2, 3))
     assert coords(P) == (1, 2, 3)
     assert N == ()
+    assert nef_fibre_product(SS2, SS2).contains(coords(P))
 
 
 def test_terminal_decompose_one_unstable():
@@ -74,11 +99,18 @@ def test_terminal_decompose_one_unstable():
     assert len(N) == 1
     gen, coeff = N[0]
     assert coords(gen) == (1, 0, -1) and coeff == 1
+    assert nef_fibre_product(UN2, SS2).contains(coords(P))
+
+    P, N = terminal_decompose(SS2, UN2, (1, 1, 0))
+    assert coords(P) == (1, 0, 1)
+    assert [(coords(g), c) for g, c in N] == [((0, 1, -1), 1)]
+    assert nef_fibre_product(SS2, UN2).contains(coords(P))
 
 
 def test_terminal_decompose_both_unstable_boundary():
     P, N = terminal_decompose(UN2, UN2, (1, 1, -2))
     assert P.is_zero
+    assert nef_fibre_product(UN2, UN2).contains(coords(P))
     assert [(coords(g), c) for g, c in N] == [
         ((1, 0, -1), 1),
         ((0, 1, -1), 1),
@@ -138,6 +170,12 @@ def test_decompose_rejects_non_psef():
     with pytest.raises(InputError) as err:
         decompose(SS2, SS2, (-1, 0, 0))
     assert "violated" in str(err.value) or ">=" in str(err.value)
+    # mu_max = 1 on the first factor puts the facet a + c >= 0 on the cone
+    with pytest.raises(InputError) as err:
+        decompose(HNCurveBundle(2, 2), SS2, (1, 0, -5))
+    assert str(err.value) == (
+        "class is not pseudoeffective: violated inequality a + c >= 0 (value -4)"
+    )
 
 
 def test_decompose_order_independence():
@@ -229,6 +267,13 @@ def test_certificate_json_round_trip():
     assert verify(back, a, b).ok
 
 
+def test_certificate_reads_verified_strictly():
+    payload = decompose(UN2, SS2, (1, 1, 0)).to_json()
+    payload["verified"] = "false"
+    with pytest.raises(InputError, match="malformed boolean: 'false'"):
+        ZariskiCertificate.from_json(payload, UN2, SS2)
+
+
 def test_decomposition_linear_in_the_class():
     rng = random.Random(5)
     a = HNCurveBundle(3, 2, [(1, -1), (2, 3)])
@@ -272,7 +317,7 @@ def test_exceptional_multiplicity_is_an_intersection_number():
         )
         cls = f"({a}*xi + {b}*zeta + ({c})*F)"
         assert ring.degree_eval(f"{cls} * {functional}") == a
-        step, _ = reduce_step(first, (a, b, c))
+        step = reduce_step(first, (a, b, c))
         assert step.exceptional_multiplicity == a
 
 
