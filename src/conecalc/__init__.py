@@ -19,8 +19,6 @@ from .bundles import (
 )
 from .catalog import (
     ConeReport,
-    eff_k_ruled,
-    eff_k_surface_rho1,
     fibre_product_cones,
     homogeneity_cones,
     iterated_fibre_product_cones,
@@ -28,7 +26,6 @@ from .catalog import (
     miyaoka_cones,
     nef_fibre_product,
     psef_fibre_product,
-    semistable_bundle_cone,
     surface_cone_report,
 )
 from .cli import WorkspaceSpec, parse_workspace, run_command
@@ -84,8 +81,6 @@ __all__ = [
     "build_lambda_ring_surface",
     "build_xi_ring_surface",
     "decompose",
-    "eff_k_ruled",
-    "eff_k_surface_rho1",
     "extremal_ray_decompositions",
     "fibre_product_cones",
     "homogeneity_cones",
@@ -103,7 +98,6 @@ __all__ = [
     "reduce_step",
     "run_command",
     "run_selftest",
-    "semistable_bundle_cone",
     "slope",
     "sub_bundle_after_step",
     "surface_cone_report",

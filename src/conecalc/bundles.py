@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InputError
-from .rationals import format_rational, parse_bool, parse_int, parse_rational
+from .rationals import format_rational, parse_bool, parse_coords, parse_int, parse_rational
 
 
 def validate_hn(rank, degree, quotients):
@@ -183,9 +183,7 @@ class SurfaceBundleData:
     def from_json(cls, obj, gram):
         try:
             rank = parse_int(obj["rank"])
-            if not isinstance(obj["c1"], list):
-                raise InputError(f"malformed coordinate list: {obj['c1']!r}")
-            c1 = tuple(parse_rational(x) for x in obj["c1"])
+            c1 = parse_coords(obj["c1"])
             c2 = parse_rational(obj["c2"])
         except (KeyError, TypeError, ValueError):
             raise InputError("surface bundle record needs rank, c1, c2") from None

@@ -119,27 +119,6 @@ def fibre_product_cones(first, second):
     )
 
 
-def semistable_bundle_cone(base_nef_labels, rank, c1_coords=None):
-    """Common nef = psef cone of a projectivized semistable bundle whose base
-    has polyhedral nef = psef cone with the given generators.
-
-    The caller asserts the base property, semistability and vanishing
-    c2(End); none of that is checkable from the arguments. In the basis
-    (lambda, pullbacks of the base generators) the cone is the nonnegative
-    orthant, which is what gets returned.
-    """
-    labels = tuple(base_nef_labels)
-    if not labels:
-        raise InputError("base nef cone needs at least one generator")
-    if rank < 2:
-        raise InputError("projectivization needs rank at least 2")
-    if c1_coords is not None and len(tuple(c1_coords)) != len(labels):
-        raise InputError("c1 coordinate count does not match the base generators")
-    dim = len(labels) + 1
-    gens = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    return RationalCone(dim, gens)
-
-
 def iterated_fibre_product_cones(tower):
     """Cone reports up a tower of fibre products of semistable bundles.
 
@@ -246,74 +225,39 @@ def k_homogeneous_check(preset, k):
     return psef == nef
 
 
-def eff_k_surface_rho1(rank, k, L2):
-    """Codimension-k cones of a bundle over a Picard-rank-1 surface,
-    1 < k < rank: both cones are the orthant in the three-monomial basis.
-
-    The nef side is recomputed through pairing duality rather than asserted,
-    so the report's equality flag is evidence, not fiat.
-    """
-    rank = int(rank)
-    if not 1 < k < rank:
-        raise InputError(f"k out of range 2..{rank - 1}")
-    L2 = Fraction(L2)
-    preset = SpacePreset.surface_rho1(rank, L2, 0, 0)
-    psef, nef, labels = homogeneity_cones(preset, k)
-    orthant = RationalCone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    if psef != orthant:
-        raise InternalError("closed-form orthant drifted from the product cone")
-    return _report(preset, k, labels, nef, orthant)
-
-
-def eff_k_ruled(rank, k, mu):
-    """Codimension-k cones of a bundle over a ruled surface, 1 < k < rank.
-
-    Four generators in the basis (lambda^k, lambda^(k-1)*piEta,
-    lambda^(k-1)*piF, lambda^(k-2)*F); the pulled-back base ray eta - mu*f
-    becomes (0, 1, -mu, 0).
-    """
-    rank = int(rank)
-    if not 1 < k < rank:
-        raise InputError(f"k out of range 2..{rank - 1}")
-    mu = Fraction(mu)
-    preset = SpacePreset.ruled_surface(rank, mu, (0, 0), 0)
-    psef, nef, labels = homogeneity_cones(preset, k)
-    closed = RationalCone(
-        4,
-        [(1, 0, 0, 0), (0, 1, -mu, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-    )
-    if psef != closed:
-        raise InternalError("closed-form cone drifted from the product cone")
-    return _report(preset, k, labels, nef, closed)
-
-
-# The closed forms of each surface kind: its divisor cone, and its report in
-# codimension 1 < k < rank. They are written here, apart from the kind table
-# that homogeneity_cones reads, so that either side checks the other.
+# Literal psef generators of each surface kind in codimension k: lambda and
+# the pulled-back base rays for k = 1, the monomial basis of homogeneity_cones
+# for 1 < k < rank. They are written here, apart from the kind table that
+# homogeneity_cones reads, so that either side checks the other.
 _CLOSED_FORMS = {
-    PROJ_BUNDLE_OVER_SURFACE_RHO1: (
-        lambda p: semistable_bundle_cone(("L",), p.rank),
-        lambda p, k: eff_k_surface_rho1(p.rank, k, p.L2),
+    PROJ_BUNDLE_OVER_SURFACE_RHO1: lambda p, k: (
+        ((1, 0), (0, 1)) if k == 1 else ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     ),
-    PROJ_BUNDLE_OVER_RULED_SURFACE: (
-        # base rays eta - mu*f and f, written in the (lambda, piEta, piF)
-        # coordinates alongside lambda itself
-        lambda p: RationalCone(3, [(1, 0, 0), (0, 1, -p.mu), (0, 0, 1)]),
-        lambda p, k: eff_k_ruled(p.rank, k, p.mu),
+    # the base rays eta - mu*f and f
+    PROJ_BUNDLE_OVER_RULED_SURFACE: lambda p, k: (
+        ((1, 0, 0), (0, 1, -p.mu), (0, 0, 1))
+        if k == 1
+        else ((1, 0, 0, 0), (0, 1, -p.mu, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     ),
 }
 
 
 def surface_cone_report(preset, k):
-    """Codimension-k report for a surface preset; dispatches k = 1 (divisor
-    case, orthant over base generators) and 1 < k < rank (monomial bases)."""
+    """Codimension-k report for a surface preset, 1 <= k < rank.
+
+    The psef side is the kind's closed form, checked against the product
+    cone of ``homogeneity_cones``; the nef side is that function's pairing
+    dual, so the report's equality flag is evidence, not fiat.
+    """
     if not preset.is_surface:
         raise InputError("invalid preset: expected a surface-base preset")
-    divisor_cone, higher = _CLOSED_FORMS[preset.kind]
+    spec = _KINDS[preset.kind]
     if k != 1:
-        return higher(preset, k)
-    psef, nef, labels = homogeneity_cones(preset, 1)
-    closed = divisor_cone(preset)
+        # the cones depend only on rank and L2/mu; k > 1 reports name the c1 = 0 preset
+        zeros = (0,) * len(spec.divisors)
+        preset = spec.from_base(preset.rank, getattr(preset, spec.param), zeros, 0)
+    psef, nef, labels = homogeneity_cones(preset, k)
+    closed = RationalCone(len(labels), _CLOSED_FORMS[preset.kind](preset, k))
     if psef != closed:
-        raise InternalError("divisor cone drifted from the product cone")
-    return _report(preset, 1, labels, nef, closed)
+        raise InternalError("closed-form cone drifted from the product cone")
+    return _report(preset, k, labels, nef, closed)

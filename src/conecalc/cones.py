@@ -14,28 +14,14 @@ constraint kernels, so the ray part lives in a pointed quotient and the
 combinatorial adjacency test is valid there.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-from .rationals import format_rational, parse_int, parse_rational
+from .rationals import format_rational, parse_coords, parse_int
 
-DEFAULT_MAX_DIM = 6
-
-
-def _max_dim():
-    raw = os.environ.get("CONECALC_MAX_DIM")
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"CONECALC_MAX_DIM must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise InputError("CONECALC_MAX_DIM must be at least 1")
-    return cap
+MAX_DIM = 6
 
 
 def primitive(vector):
@@ -181,9 +167,8 @@ class RationalCone:
 
     def __init__(self, dim, generators):
         dim = int(dim)
-        cap = _max_dim()
-        if not 1 <= dim <= cap:
-            raise InputError(f"cone dimension {dim} outside 1..{cap}")
+        if not 1 <= dim <= MAX_DIM:
+            raise InputError(f"cone dimension {dim} outside 1..{MAX_DIM}")
         gens = []
         for g in generators:
             if len(g) != dim:
@@ -296,7 +281,7 @@ class RationalCone:
     def from_json(cls, obj):
         try:
             dim = parse_int(obj["dim"])
-            gens = [tuple(parse_rational(x) for x in g) for g in obj["generators"]]
+            gens = [parse_coords(g) for g in obj["generators"]]
         except (KeyError, TypeError, ValueError):
             raise InputError("cone record needs dim and generators") from None
         return cls(dim, gens)

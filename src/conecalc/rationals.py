@@ -2,9 +2,10 @@
 
 Rationals cross the JSON boundary as strings "p/q" with q > 0 and
 gcd(p, q) = 1, or a bare "p" when the value is an integer. Plain ints are
-accepted on input for convenience; floats never are. Integers and booleans
-are read strictly: a JSON integer where an int is due, a JSON bool where a
-flag is due, and nothing that merely converts to one.
+accepted on input for convenience; floats never are. Integers, booleans
+and coordinate lists are read strictly: a JSON integer where an int is due,
+a JSON bool where a flag is due, a JSON list where coordinates are due, and
+nothing that merely converts to one.
 """
 
 from fractions import Fraction
@@ -41,6 +42,13 @@ def parse_bool(value):
     if type(value) is not bool:
         raise InputError(f"malformed boolean: {value!r}")
     return value
+
+
+def parse_coords(value):
+    # a string iterates too, so "110" would otherwise read as (1, 1, 0)
+    if not isinstance(value, list):
+        raise InputError(f"malformed coordinate list: {value!r}")
+    return tuple(parse_rational(x) for x in value)
 
 
 def format_rational(value):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import InputError, InternalError
-from .rationals import format_rational, parse_int, parse_rational
+from .rationals import format_rational, parse_coords, parse_int, parse_rational
 
 
 def format_monomial(gens, mono):
@@ -34,6 +34,8 @@ def format_monomial(gens, mono):
 
 
 def parse_monomial(gens, text):
+    if not isinstance(text, str):
+        raise InputError(f"malformed monomial: {text!r}")
     exps = [0] * len(gens)
     text = text.strip()
     if text == "1":
@@ -304,18 +306,16 @@ class IntersectionRing:
     def class_from_json(self, obj):
         try:
             degree = parse_int(obj["degree"])
-            terms = obj["terms"]
+            terms = [(term["monomial"], term["coeff"]) for term in obj["terms"]]
         except (KeyError, TypeError, ValueError):
             raise InputError("class record needs degree and terms") from None
         basis = set(self.basis(degree))
         poly = {}
-        for term in terms:
-            mono = parse_monomial(self.gens, term["monomial"])
+        for text, raw in terms:
+            mono = parse_monomial(self.gens, text)
             if mono not in basis:
-                raise InputError(
-                    f"monomial {term['monomial']!r} is not in the degree-{degree} basis"
-                )
-            coeff = parse_rational(term["coeff"])
+                raise InputError(f"monomial {text!r} is not in the degree-{degree} basis")
+            coeff = parse_rational(raw)
             if coeff:
                 poly[mono] = poly.get(mono, Fraction(0)) + coeff
         return NumClass(self.gens, degree, _clean(poly))
@@ -721,9 +721,7 @@ def _eta_f_coords(value):
 
 
 def _read_eta_f(value):
-    if not isinstance(value, list):
-        raise InputError(f"malformed coordinate list: {value!r}")
-    return _eta_f_coords(parse_rational(x) for x in value)
+    return _eta_f_coords(parse_coords(value))
 
 
 # (JSON reader, JSON writer) of each field shape

@@ -19,7 +19,7 @@ from .bundles import HNCurveBundle
 from .catalog import nef_fibre_product, psef_fibre_product
 from .cones import inequality_text, primitive
 from .errors import InputError, InternalError
-from .rationals import format_rational, parse_bool, parse_rational
+from .rationals import format_rational, parse_bool, parse_coords, parse_rational
 from .ring import NumClass, build_fibre_product_ring
 
 BOTH_SEMISTABLE = "both_semistable"
@@ -189,10 +189,10 @@ class ZariskiCertificate:
     @classmethod
     def from_json(cls, obj, first, second):
         try:
-            input_coords = tuple(parse_rational(x) for x in obj["input"])
+            input_coords = parse_coords(obj["input"])
             step_objs = list(obj["steps"])
             terminal = obj["terminal"]
-            p_coords = tuple(parse_rational(x) for x in obj["P"])
+            p_coords = parse_coords(obj["P"])
             n_objs = list(obj["N"])
             verified = parse_bool(obj["verified"])
         except (KeyError, TypeError):
@@ -214,7 +214,7 @@ class ZariskiCertificate:
         N = []
         for entry in n_objs:
             try:
-                gen_coords = tuple(parse_rational(x) for x in entry["gen"])
+                gen_coords = parse_coords(entry["gen"])
                 coeff = parse_rational(entry["coeff"])
             except (KeyError, TypeError):
                 raise InputError("malformed effective-part record") from None

@@ -6,8 +6,6 @@ import pytest
 
 from conecalc.bundles import HNCurveBundle
 from conecalc.catalog import (
-    eff_k_ruled,
-    eff_k_surface_rho1,
     fibre_product_cones,
     homogeneity_cones,
     iterated_fibre_product_cones,
@@ -15,7 +13,6 @@ from conecalc.catalog import (
     miyaoka_cones,
     nef_fibre_product,
     psef_fibre_product,
-    semistable_bundle_cone,
     surface_cone_report,
 )
 from conecalc.cones import RationalCone
@@ -103,21 +100,6 @@ def test_fibre_product_report_equal_iff_semistable():
         assert report.psef.contains(g)
 
 
-def test_semistable_bundle_cone():
-    rho1_cone = semistable_bundle_cone(("L",), 3)
-    assert rho1_cone.generators == ((1, 0), (0, 1))
-    curve = semistable_bundle_cone(("f",), 2)
-    assert curve.dim == 2
-    big = semistable_bundle_cone(("A", "B", "C"), 2)
-    assert big.dim == 4 and len(big.generators) == 4
-    with pytest.raises(InputError):
-        semistable_bundle_cone((), 2)
-    with pytest.raises(InputError):
-        semistable_bundle_cone(("L",), 1)
-    with pytest.raises(InputError):
-        semistable_bundle_cone(("L",), 2, c1_coords=(1, 2))
-
-
 def test_tower_reports():
     tower = [HNCurveBundle(2, 0), HNCurveBundle(2, 3), HNCurveBundle(3, -1)]
     reports = iterated_fibre_product_cones(tower)
@@ -178,26 +160,26 @@ def test_eff_k_rho1_rank4_antidiagonal():
 def test_eff_k_rho1_reports():
     for rank in (3, 4, 5):
         for k in range(2, rank):
-            report = eff_k_surface_rho1(rank, k, 2)
+            report = surface_cone_report(rho1(rank, 2), k)
             assert report.equal
             assert report.psef == RationalCone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    with pytest.raises(InputError):
-        eff_k_surface_rho1(3, 1, 1)
-    with pytest.raises(InputError):
-        eff_k_surface_rho1(3, 3, 1)
+    with pytest.raises(InputError, match=r"k out of range 1\.\.2"):
+        surface_cone_report(rho1(3, 1), 0)
+    with pytest.raises(InputError, match=r"k out of range 1\.\.2"):
+        surface_cone_report(rho1(3, 1), 3)
 
 
 def test_eff_k_ruled_reports():
-    zero = eff_k_ruled(3, 2, 0)
+    zero = surface_cone_report(ruled(3, 0), 2)
     assert zero.equal
     assert zero.psef == RationalCone(
         4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     )
-    one = eff_k_ruled(3, 2, 1)
+    one = surface_cone_report(ruled(3, 1), 2)
     assert one.equal
     assert (0, 1, -1, 0) in one.psef.generators
     assert one.basis == ("lambda^2", "lambda*piEta", "lambda*piF", "F")
-    negative = eff_k_ruled(4, 3, Fraction(-5, 2))
+    negative = surface_cone_report(ruled(4, Fraction(-5, 2)), 3)
     assert negative.equal
 
 
@@ -234,10 +216,10 @@ def test_surface_cone_report_dispatch():
 def test_constructors_match_first_principles():
     for rank in (3, 4):
         for k in range(2, rank):
-            report = eff_k_surface_rho1(rank, k, 3)
+            report = surface_cone_report(rho1(rank, 3), k)
             psef, nef, _ = homogeneity_cones(rho1(rank, 3), k)
             assert report.psef == psef and report.nef == nef
-            ruled_report = eff_k_ruled(rank, k, Fraction(-1, 2))
+            ruled_report = surface_cone_report(ruled(rank, Fraction(-1, 2)), k)
             psef, nef, _ = homogeneity_cones(ruled(rank, Fraction(-1, 2)), k)
             assert ruled_report.psef == psef and ruled_report.nef == nef
 

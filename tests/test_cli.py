@@ -1,8 +1,12 @@
 """Workspace parsing, command dispatch, exit codes, output formats."""
 
+import copy
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conecalc import cli
 from conecalc.cones import RationalCone
@@ -373,3 +377,69 @@ def test_surface_bundle_fields_are_strict(tmp_path, capsys, field, value, messag
     workspace["bundles"] = [record]
     code, _ = run(capsys, ["-w", ws_file(tmp_path, workspace), "cone", "nef"])
     assert code == 0
+
+
+# --- boundary fuzz ---------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKSPACES = os.path.join(ROOT, "bench", "workspaces")
+
+
+def _parseable_workspaces():
+    found = []
+    for name in sorted(os.listdir(WORKSPACES)):
+        with open(os.path.join(WORKSPACES, name)) as handle:
+            text = handle.read()
+        try:
+            found.append(json.loads(text))
+        except json.JSONDecodeError:
+            continue
+    return found
+
+
+FUZZ_BASES = _parseable_workspaces()
+FUZZ_VALUES = (None, True, False, 0, 1, -1, 2, 7, 2.5, "1/2", "110", [], {})
+FUZZ_COMMANDS = (
+    [("cone", "nef"), ("cone", "psef", "--k", "2"), ("member", "1,1,0"), ("zariski", "1,1,0")]
+    + [("homog", "--k", str(k)) for k in range(6)]
+    + [("ring", "eval", "xi^2")]
+)
+
+
+def _paths(node, prefix=()):
+    """The key path of every value below the root, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_workspace_fuzz_exits_cleanly(data):
+    """Corrupted workspaces end in exit 0 or 1, or an InputError (exit 2)."""
+    workspace = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        paths = list(_paths(workspace))
+        if not paths:
+            break
+        *parents, key = data.draw(st.sampled_from(paths))
+        container = workspace
+        for step in parents:
+            container = container[step]
+        if isinstance(container, dict) and data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+    try:
+        spec = cli.parse_workspace(json.dumps(workspace))
+    except InputError:
+        return
+    json_output = data.draw(st.booleans())
+    for command in FUZZ_COMMANDS:
+        try:
+            code, _ = cli.run_command(spec, list(command), json_output)
+        except InputError:
+            continue
+        assert code in (0, 1), command

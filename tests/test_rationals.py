@@ -7,7 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conecalc.errors import InputError
-from conecalc.rationals import format_rational, parse_bool, parse_int, parse_rational
+from conecalc.rationals import (
+    format_rational,
+    parse_bool,
+    parse_coords,
+    parse_int,
+    parse_rational,
+)
 
 
 def test_parse_integers_and_fractions():
@@ -58,3 +64,13 @@ def test_strict_int_and_bool():
     for bad in ("false", 0, 1, None):
         with pytest.raises(InputError):
             parse_bool(bad)
+
+
+def test_strict_coordinate_list():
+    assert parse_coords(["1/2", 3]) == (Fraction(1, 2), Fraction(3))
+    assert parse_coords([]) == ()
+    for bad in ("110", ("1", "0"), {"a": 1}, None, 5):
+        with pytest.raises(InputError, match="malformed coordinate list"):
+            parse_coords(bad)
+    with pytest.raises(InputError, match="malformed rational"):
+        parse_coords(["1", 0.5])

@@ -290,6 +290,22 @@ def test_class_from_json_reads_degree_strictly():
         ring.class_from_json({"degree": True, "terms": []})
 
 
+def test_class_from_json_raises_only_input_errors():
+    ring = build_fibre_product_ring(3, 2, 4, -1)
+    for terms in (
+        [{}],
+        [{"monomial": "xi"}],
+        [{"coeff": "1"}],
+        5,
+        ["xi"],
+        [{"monomial": 5, "coeff": "1"}],
+        [{"monomial": None, "coeff": "1"}],
+        [{"monomial": "xi", "coeff": 0.5}],
+    ):
+        with pytest.raises(InputError):
+            ring.class_from_json({"degree": 1, "terms": terms})
+
+
 def test_class_from_coordinates_round_trip():
     ring = build_fibre_product_ring(2, 3, 1, 2)
     basis = ring.basis(2)

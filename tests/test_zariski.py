@@ -274,6 +274,17 @@ def test_certificate_reads_verified_strictly():
         ZariskiCertificate.from_json(payload, UN2, SS2)
 
 
+def test_certificate_reads_coordinate_lists_strictly():
+    good = decompose(UN2, SS2, (1, 1, 0)).to_json()
+    assert good["N"], "the case needs an effective part to corrupt"
+    bad_input = dict(good, input="110")
+    bad_p = dict(good, P="011")
+    bad_gen = dict(good, N=[dict(good["N"][0], gen="101")])
+    for payload, text in ((bad_input, "'110'"), (bad_p, "'011'"), (bad_gen, "'101'")):
+        with pytest.raises(InputError, match=f"malformed coordinate list: {text}"):
+            ZariskiCertificate.from_json(payload, UN2, SS2)
+
+
 def test_decomposition_linear_in_the_class():
     rng = random.Random(5)
     a = HNCurveBundle(3, 2, [(1, -1), (2, 3)])
