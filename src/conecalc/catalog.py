@@ -9,7 +9,6 @@ serves as the constructors' oracle.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from . import bundles as bn
 from .cones import Pairing, RationalCone
@@ -17,6 +16,7 @@ from .errors import InputError, InternalError
 from .ring import (
     PROJ_BUNDLE_OVER_RULED_SURFACE,
     PROJ_BUNDLE_OVER_SURFACE_RHO1,
+    NumClass,
     SpacePreset,
     _KINDS,
     _pmul,
@@ -181,7 +181,10 @@ def homogeneity_cones(preset, k):
     The pseudoeffective side is the nonnegative span of all degree-k
     products of nef divisor generators; the nef side is the dual of the
     complementary-degree pseudoeffective cone under the exact intersection
-    pairing. Returns (psef, nef, basis labels). Built independently of the
+    pairing. Products are built degree by degree, each reduced degree-d
+    product times one divisor giving the degree-(d+1) ones, and a product
+    that reduces to zero is pruned with everything that would extend it.
+    Returns (psef, nef, basis labels). Built independently of the
     closed-form constructors so it can act as their oracle.
     """
     if not preset.is_surface:
@@ -191,27 +194,36 @@ def homogeneity_cones(preset, k):
         raise InputError(f"k out of range 1..{r - 1}")
     ring = build_lambda_ring_surface(preset)
     divisors = _nef_divisor_generators(preset, ring)
-    width = len(ring.gens)
+    k2 = (r + 1) - k
+    # layers[d]: reduced nonzero degree-d products keyed by their nondecreasing
+    # divisor indices, so each multiset is built once; normal forms respect
+    # products, so reducing the prefix first gives the same class
+    layers = [{(): NumClass(ring.gens, 0, {(0,) * len(ring.gens): Fraction(1)})}]
+    for degree in range(1, max(k, k2) + 1):
+        layer = {}
+        for key, prev in layers[-1].items():
+            for i in range(key[-1] if key else 0, len(divisors)):
+                product = NumClass(ring.gens, degree, _pmul(prev.coeffs, divisors[i]))
+                cls = ring.normal_form(product)
+                if not cls.is_zero:
+                    layer[key + (i,)] = cls
+        layers.append(layer)
 
     def product_cone(degree):
         basis = ring.basis(degree)
-        vectors = []
-        for combo in combinations_with_replacement(range(len(divisors)), degree):
-            poly = {(0,) * width: Fraction(1)}
-            for i in combo:
-                poly = _pmul(poly, divisors[i])
-            cls = ring.normal_form(poly, degree=degree)
-            if not cls.is_zero:
-                vectors.append(cls.coordinates(basis))
-        return RationalCone(len(basis), vectors)
+        return RationalCone(len(basis), [c.coordinates(basis) for c in layers[degree].values()])
 
-    k2 = (r + 1) - k
     psef = product_cone(k)
     psef_complement = product_cone(k2)
     basis_k = ring.basis(k)
     basis_k2 = ring.basis(k2)
     matrix = [
-        [ring.degree_eval({tuple(a + b for a, b in zip(m2, m1)): Fraction(1)}) for m1 in basis_k]
+        [
+            ring.degree_eval(
+                NumClass(ring.gens, ring.dim, {tuple(a + b for a, b in zip(m2, m1)): Fraction(1)})
+            )
+            for m1 in basis_k
+        ]
         for m2 in basis_k2
     ]
     nef = psef_complement.dual(Pairing(matrix))

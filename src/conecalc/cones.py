@@ -6,7 +6,8 @@ eagerly at construction, so membership, equality and duality are
 read-only table work afterwards. A simplicial cone (exactly dim linearly
 independent generators) takes its facets from the dual basis, the columns
 of the inverse generator matrix; every other cone gets them from a double
-description pass over the dual side.
+description pass over the dual side. Duality scales the pairing to integers
+once, so its double description runs on primitive integer rows too.
 
 The double description maintains (lineality basis, extreme rays, tight
 sets). The lineality basis always spans the intersection of the processed
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-from .rationals import format_rational, parse_coords, parse_int
+from .rationals import format_rational, parse_coords, parse_int, parse_records
 
 MAX_DIM = 6
 
@@ -130,10 +131,6 @@ def _dual_basis(gens, dim):
     return tuple(primitive([sign * rows[j][n + i] for j in range(n)]) for i in range(n))
 
 
-def _int_rows(vectors):
-    return [primitive(v) for v in vectors if any(Fraction(x) != 0 for x in v)]
-
-
 @dataclass(frozen=True)
 class Pairing:
     """Exact bilinear pairing; entry [i][j] pairs basis i of the source
@@ -239,16 +236,12 @@ class RationalCone:
             pairing = Pairing.standard(self.dim)
         if pairing.dim != self.dim:
             raise InputError("pairing dimension does not match the cone")
-        rows = _int_rows(
-            [
-                tuple(
-                    sum(Fraction(g[i]) * pairing.matrix[i][j] for i in range(self.dim))
-                    for j in range(self.dim)
-                )
-                for g in self.generators
-            ]
-        )
-        rays, lineality = _dd_rays(rows, self.dim)
+        # a positive scale changes no row once made primitive, so rows stay integer
+        scale = lcm(*(x.denominator for row in pairing.matrix for x in row))
+        matrix = [[x.numerator * (scale // x.denominator) for x in row] for row in pairing.matrix]
+        columns = list(zip(*matrix))
+        rows = [tuple(_dot(g, column) for column in columns) for g in self.generators]
+        rays, lineality = _dd_rays([primitive(row) for row in rows if any(row)], self.dim)
         gens = list(rays)
         for l in lineality:
             gens.append(l)
@@ -281,7 +274,7 @@ class RationalCone:
     def from_json(cls, obj):
         try:
             dim = parse_int(obj["dim"])
-            gens = [parse_coords(g) for g in obj["generators"]]
+            gens = [parse_coords(g) for g in parse_records(obj["generators"])]
         except (KeyError, TypeError, ValueError):
             raise InputError("cone record needs dim and generators") from None
         return cls(dim, gens)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import InputError, InternalError
-from .rationals import format_rational, parse_coords, parse_int, parse_rational
+from .rationals import format_rational, parse_coords, parse_int, parse_rational, parse_records
 
 
 def format_monomial(gens, mono):
@@ -164,6 +164,10 @@ class IntersectionRing:
             (tuple(lhs), {tuple(m): Fraction(c) for m, c in rhs.items() if c != 0})
             for lhs, rhs in rules
         )
+        # each left side's nonzero (position, exponent) pairs, in rule order
+        self._rule_keys = tuple(
+            tuple((p, e) for p, e in enumerate(lhs) if e) for lhs, _ in self.rules
+        )
         for lhs, rhs in self.rules:
             want = self.monomial_degree(lhs)
             if any(self.monomial_degree(m) != want for m in rhs):
@@ -179,9 +183,7 @@ class IntersectionRing:
 
     def _matching_rules(self, mono):
         return [
-            i
-            for i, (lhs, _) in enumerate(self.rules)
-            if all(e >= l for e, l in zip(mono, lhs))
+            i for i, key in enumerate(self._rule_keys) if all(mono[p] >= e for p, e in key)
         ]
 
     def _reduce(self, poly, pick=None):
@@ -306,7 +308,7 @@ class IntersectionRing:
     def class_from_json(self, obj):
         try:
             degree = parse_int(obj["degree"])
-            terms = [(term["monomial"], term["coeff"]) for term in obj["terms"]]
+            terms = [(term["monomial"], term["coeff"]) for term in parse_records(obj["terms"])]
         except (KeyError, TypeError, ValueError):
             raise InputError("class record needs degree and terms") from None
         basis = set(self.basis(degree))

@@ -19,7 +19,7 @@ from .bundles import HNCurveBundle
 from .catalog import nef_fibre_product, psef_fibre_product
 from .cones import inequality_text, primitive
 from .errors import InputError, InternalError
-from .rationals import format_rational, parse_bool, parse_coords, parse_rational
+from .rationals import format_rational, parse_bool, parse_coords, parse_rational, parse_records
 from .ring import NumClass, build_fibre_product_ring
 
 BOTH_SEMISTABLE = "both_semistable"
@@ -190,10 +190,10 @@ class ZariskiCertificate:
     def from_json(cls, obj, first, second):
         try:
             input_coords = parse_coords(obj["input"])
-            step_objs = list(obj["steps"])
+            step_objs = parse_records(obj["steps"])
             terminal = obj["terminal"]
             p_coords = parse_coords(obj["P"])
-            n_objs = list(obj["N"])
+            n_objs = parse_records(obj["N"])
             verified = parse_bool(obj["verified"])
         except (KeyError, TypeError):
             raise InputError("malformed certificate record") from None

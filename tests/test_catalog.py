@@ -1,11 +1,15 @@
 """Closed-form cone constructors and the k-homogeneity oracle."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conecalc.bundles import HNCurveBundle
 from conecalc.catalog import (
+    _nef_divisor_generators,
     fibre_product_cones,
     homogeneity_cones,
     iterated_fibre_product_cones,
@@ -15,9 +19,9 @@ from conecalc.catalog import (
     psef_fibre_product,
     surface_cone_report,
 )
-from conecalc.cones import RationalCone
+from conecalc.cones import Pairing, RationalCone
 from conecalc.errors import InputError
-from conecalc.ring import SpacePreset, build_lambda_ring_surface
+from conecalc.ring import SpacePreset, _pmul, build_lambda_ring_surface
 
 
 def rho1(rank, L2, e=0):
@@ -232,3 +236,60 @@ def test_report_json_shape():
     assert payload["equal"] is True
     restored = RationalCone.from_json(payload["nef"])
     assert restored == report.nef
+
+
+# --- differential test: degree-by-degree products against a from-scratch build
+
+
+def _from_scratch_cones(preset, k):
+    """Reference cones: every degree-k product multiplied out from 1 and
+    reduced once; nef is the pairing dual of the complementary-degree
+    cone."""
+    ring = build_lambda_ring_surface(preset)
+    divisors = _nef_divisor_generators(preset, ring)
+    width = len(ring.gens)
+
+    def product_cone(degree):
+        basis = ring.basis(degree)
+        vectors = []
+        for combo in combinations_with_replacement(range(len(divisors)), degree):
+            poly = {(0,) * width: Fraction(1)}
+            for i in combo:
+                poly = _pmul(poly, divisors[i])
+            cls = ring.normal_form(poly, degree=degree)
+            if not cls.is_zero:
+                vectors.append(cls.coordinates(basis))
+        return RationalCone(len(basis), vectors)
+
+    k2 = preset.rank + 1 - k
+    matrix = [
+        [ring.degree_eval({tuple(a + b for a, b in zip(m2, m1)): 1}) for m1 in ring.basis(k)]
+        for m2 in ring.basis(k2)
+    ]
+    return product_cone(k), product_cone(k2).dual(Pairing(matrix))
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def balanced_presets_with_k(draw):
+    rank = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        L2 = draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3)))
+        preset = rho1(rank, L2, draw(small_rationals))
+    else:
+        c1 = (draw(small_rationals), draw(small_rationals))
+        preset = ruled(rank, draw(small_rationals), c1)
+    return preset, draw(st.integers(1, rank - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(balanced_presets_with_k())
+def test_incremental_products_equal_from_scratch(case):
+    preset, k = case
+    psef, nef, _ = homogeneity_cones(preset, k)
+    want_psef, want_nef = _from_scratch_cones(preset, k)
+    for got, want in ((psef, want_psef), (nef, want_nef)):
+        assert got.to_json() == want.to_json()
+        assert got._facets == want._facets

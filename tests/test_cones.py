@@ -146,6 +146,12 @@ def test_from_json_reads_generators_as_lists():
         RationalCone.from_json({"dim": 2, "generators": ["10", "01"]})
 
 
+@pytest.mark.parametrize("generators", ["", {}, "10"])
+def test_from_json_reads_the_generator_list_strictly(generators):
+    with pytest.raises(InputError, match="malformed record list"):
+        RationalCone.from_json({"dim": 2, "generators": generators})
+
+
 def test_not_hashable():
     with pytest.raises(TypeError):
         hash(OCTANT3)
@@ -288,3 +294,51 @@ def test_primitive_agrees_across_input_types(ints):
         result = primitive(bools)
         assert result == primitive([int(b) for b in bools])
         assert all(type(x) is int for x in result)
+
+
+# --- differential test: the integer dual against the Fraction dual ---------
+
+
+def _fraction_dual(cone, pairing):
+    """Rows g.M in Fractions, made primitive, then double description."""
+    n = cone.dim
+    rows = [
+        tuple(sum(Fraction(g[i]) * pairing.matrix[i][j] for i in range(n)) for j in range(n))
+        for g in cone.generators
+    ]
+    rays, lineality = _dd_rays([primitive(r) for r in rows if any(r)], n)
+    gens = list(rays)
+    for l in lineality:
+        gens += [l, tuple(-x for x in l)]
+    return RationalCone(n, gens)
+
+
+def _assert_same_cone(got, want):
+    assert got.to_json() == want.to_json()
+    assert got._facets == want._facets
+    assert got._span_normals == want._span_normals
+
+
+@st.composite
+def cones_with_pairing(draw):
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-4, 4)] * dim).filter(any)
+    gens = draw(st.lists(vec, max_size=5))
+    matrix = draw(st.lists(st.tuples(*[rationals] * dim), min_size=dim, max_size=dim))
+    return RationalCone(dim, gens), Pairing(matrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cones_with_pairing())
+def test_integer_dual_equals_fraction_dual(case):
+    cone, pairing = case
+    _assert_same_cone(cone.dual(pairing), _fraction_dual(cone, pairing))
+
+
+def test_integer_dual_on_singular_pairing_and_zero_cone():
+    cone = RationalCone(3, [(1, 0, 0), (1, 2, 0), (0, 1, 1)])
+    singular = Pairing([["1/2", 1, 0], [-1, "-2", 0], ["3/2", 3, 0]])
+    zero = RationalCone(3, [])
+    for case, pairing in ((cone, singular), (zero, singular), (zero, Pairing.standard(3))):
+        _assert_same_cone(case.dual(pairing), _fraction_dual(case, pairing))
+    assert zero.dual(singular).to_json() == zero.dual().to_json()

@@ -13,6 +13,7 @@ from conecalc.rationals import (
     parse_coords,
     parse_int,
     parse_rational,
+    parse_records,
 )
 
 
@@ -74,3 +75,12 @@ def test_strict_coordinate_list():
             parse_coords(bad)
     with pytest.raises(InputError, match="malformed rational"):
         parse_coords(["1", 0.5])
+
+
+def test_strict_record_list():
+    records = [{"gen": ["1"]}]
+    assert parse_records(records) is records
+    assert parse_records([]) == []
+    for bad in ("", {}, "[]", ({},), None, 0):
+        with pytest.raises(InputError, match="malformed record list"):
+            parse_records(bad)

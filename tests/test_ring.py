@@ -242,6 +242,27 @@ def test_confluence_random_rule_choice():
             assert chaotic.coeffs == expected.coeffs
 
 
+# one ring of each kind, plus an xi-basis ring
+RULE_RINGS = (
+    build_curve_bundle_ring(4, -3),
+    build_fibre_product_ring(3, 2, 2, -1),
+    build_lambda_ring_surface(rho1_preset(4, Fraction(3, 2), Fraction(2, 3))),
+    build_lambda_ring_surface(ruled_preset(3, Fraction(-1, 3), (1, 2))),
+    build_xi_ring_surface(ruled_preset(3, Fraction(1, 2), (1, -1))),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sparse_rule_matching_equals_dense_scan(data):
+    ring = data.draw(st.sampled_from(RULE_RINGS))
+    mono = data.draw(st.tuples(*[st.integers(0, 5)] * len(ring.gens)))
+    dense = [
+        i for i, (lhs, _) in enumerate(ring.rules) if all(e >= l for e, l in zip(mono, lhs))
+    ]
+    assert ring._matching_rules(mono) == dense
+
+
 def test_degree_eval_linear():
     ring = build_fibre_product_ring(3, 2, 4, -1)
     rng = random.Random(3)
@@ -288,6 +309,13 @@ def test_class_from_json_reads_degree_strictly():
     ring = build_fibre_product_ring(3, 2, 4, -1)
     with pytest.raises(InputError, match="malformed integer: True"):
         ring.class_from_json({"degree": True, "terms": []})
+
+
+@pytest.mark.parametrize("terms", ["", {}, "xi"])
+def test_class_from_json_reads_the_term_list_strictly(terms):
+    ring = build_fibre_product_ring(3, 2, 4, -1)
+    with pytest.raises(InputError, match="malformed record list"):
+        ring.class_from_json({"degree": 1, "terms": terms})
 
 
 def test_class_from_json_raises_only_input_errors():

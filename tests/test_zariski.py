@@ -285,6 +285,14 @@ def test_certificate_reads_coordinate_lists_strictly():
             ZariskiCertificate.from_json(payload, UN2, SS2)
 
 
+@pytest.mark.parametrize("field", ["N", "steps"])
+@pytest.mark.parametrize("value", ["", {}])
+def test_certificate_reads_record_lists_strictly(field, value):
+    payload = dict(decompose(UN2, SS2, (1, 1, 0)).to_json(), **{field: value})
+    with pytest.raises(InputError, match="malformed record list"):
+        ZariskiCertificate.from_json(payload, UN2, SS2)
+
+
 def test_decomposition_linear_in_the_class():
     rng = random.Random(5)
     a = HNCurveBundle(3, 2, [(1, -1), (2, 3)])
