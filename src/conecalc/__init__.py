@@ -14,7 +14,6 @@ from .bundles import (
     mu_min,
     slope,
     sub_bundle_after_step,
-    sym_twist_c1,
     validate_hn,
 )
 from .catalog import (
@@ -52,7 +51,6 @@ from .zariski import (
     VerifyResult,
     ZariskiCertificate,
     decompose,
-    extremal_ray_decompositions,
     reduce_step,
     terminal_decompose,
     verify,
@@ -81,7 +79,6 @@ __all__ = [
     "build_lambda_ring_surface",
     "build_xi_ring_surface",
     "decompose",
-    "extremal_ray_decompositions",
     "fibre_product_cones",
     "homogeneity_cones",
     "iterated_fibre_product_cones",
@@ -101,7 +98,6 @@ __all__ = [
     "slope",
     "sub_bundle_after_step",
     "surface_cone_report",
-    "sym_twist_c1",
     "terminal_decompose",
     "validate_hn",
     "verify",

@@ -7,7 +7,6 @@ ladders are caller-supplied input and only their shape is validated.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import InputError
 from .rationals import format_rational, parse_bool, parse_coords, parse_int, parse_rational
@@ -124,33 +123,12 @@ def sub_bundle_after_step(bundle, j):
     return HNCurveBundle(rank, degree, rest, name=bundle.name)
 
 
-def sym_twist_c1(rank, c1_bundle, m, c1_twist):
-    """Rank and first Chern class of the m-th symmetric power, twisted.
-
-    Returns (sym_rank, c1) with sym_rank = C(m+rank-1, rank-1) and
-    c1 = sym_rank * ((m/rank) * c1_bundle + c1_twist). Chern data may be a
-    single rational or a tuple of coordinates; the result matches the shape.
-    """
-    if rank < 1 or m < 1:
-        raise InputError("rank and symmetric power must be positive")
-    sym_rank = comb(m + rank - 1, rank - 1)
-    scale = Fraction(m, rank)
-    if isinstance(c1_bundle, (tuple, list)) or isinstance(c1_twist, (tuple, list)):
-        a = tuple(Fraction(x) for x in c1_bundle)
-        b = tuple(Fraction(x) for x in c1_twist)
-        if len(a) != len(b):
-            raise InputError("Chern coordinate lengths differ")
-        return sym_rank, tuple(sym_rank * (scale * x + y) for x, y in zip(a, b))
-    return sym_rank, sym_rank * (scale * Fraction(c1_bundle) + Fraction(c1_twist))
-
-
 @dataclass(frozen=True)
 class SurfaceBundleData:
     """Numerical data of a bundle on a surface.
 
-    ``c1`` holds coordinates in the base's Neron-Severi basis and ``gram`` the
-    intersection matrix of that basis; c1^2 and c2(End) are taken on the
-    space preset (``SpacePreset.c2_end``).
+    ``c1`` holds coordinates in the base's Neron-Severi basis; c1^2 and
+    c2(End) are taken on the space preset (``SpacePreset.c2_end``).
     ``semistable`` is an asserted input flag, never computed.
     """
 
@@ -158,17 +136,11 @@ class SurfaceBundleData:
     c1: tuple
     c2: Fraction
     semistable: bool
-    gram: tuple
 
     def __post_init__(self):
         if self.rank < 2:
             raise InputError("surface bundle rank must be at least 2")
-        c1 = tuple(Fraction(x) for x in self.c1)
-        gram = tuple(tuple(Fraction(x) for x in row) for row in self.gram)
-        if len(gram) != len(c1) or any(len(row) != len(c1) for row in gram):
-            raise InputError("gram matrix shape does not match c1 coordinates")
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "c1", tuple(Fraction(x) for x in self.c1))
         object.__setattr__(self, "c2", Fraction(self.c2))
 
     def to_json(self):
@@ -180,11 +152,11 @@ class SurfaceBundleData:
         }
 
     @classmethod
-    def from_json(cls, obj, gram):
+    def from_json(cls, obj):
         try:
             rank = parse_int(obj["rank"])
             c1 = parse_coords(obj["c1"])
             c2 = parse_rational(obj["c2"])
         except (KeyError, TypeError, ValueError):
             raise InputError("surface bundle record needs rank, c1, c2") from None
-        return cls(rank, c1, c2, parse_bool(obj.get("semistable", False)), gram)
+        return cls(rank, c1, c2, parse_bool(obj.get("semistable", False)))

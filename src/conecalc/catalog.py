@@ -14,6 +14,8 @@ from . import bundles as bn
 from .cones import Pairing, RationalCone
 from .errors import InputError, InternalError
 from .ring import (
+    FIBRE_PRODUCT_OVER_CURVE,
+    PROJ_BUNDLE_OVER_CURVE,
     PROJ_BUNDLE_OVER_RULED_SURFACE,
     PROJ_BUNDLE_OVER_SURFACE_RHO1,
     NumClass,
@@ -63,6 +65,20 @@ def _report(space, k, basis, nef, psef):
     return ConeReport(space, k, tuple(basis), nef, psef, equal)
 
 
+def _curve_cone(bundles, mu):
+    """Cone of the fibre product of curve bundles, in the basis
+    (xi_1, ..., xi_n, F): spanned by xi_i - mu(E_i)*F and F.
+
+    With mu = mu_min this is the nef cone, with mu = mu_max the
+    pseudoeffective one; each factor adds one ray and F comes last.
+    """
+    if any(bundle.rank < 2 for bundle in bundles):
+        raise InputError("projectivization needs rank at least 2")
+    n = len(bundles)
+    rows = [tuple(int(j == i) for j in range(n)) + (-mu(b),) for i, b in enumerate(bundles)]
+    return RationalCone(n + 1, rows + [(0,) * n + (1,)])
+
+
 def miyaoka_cones(bundle):
     """Nef and pseudoeffective cones of a projectivized bundle over a curve.
 
@@ -70,27 +86,15 @@ def miyaoka_cones(bundle):
     the pseudoeffective cone by xi - mu_max*f and f; they agree exactly for
     semistable bundles.
     """
-    if bundle.rank < 2:
-        raise InputError("projectivization needs rank at least 2")
-    preset = SpacePreset.curve(bundle.rank, bundle.degree)
-    nef = RationalCone(2, [(1, -bn.mu_min(bundle)), (0, 1)])
-    psef = RationalCone(2, [(1, -bn.mu_max(bundle)), (0, 1)])
-    return _report(preset, 1, ("xi", "f"), nef, psef)
-
-
-def _check_ranks(first, second):
-    if first.rank < 2 or second.rank < 2:
-        raise InputError("projectivization needs rank at least 2")
+    nef = _curve_cone([bundle], bn.mu_min)
+    psef = _curve_cone([bundle], bn.mu_max)
+    return _report(SpacePreset.curve(bundle.rank, bundle.degree), 1, ("xi", "f"), nef, psef)
 
 
 def nef_fibre_product(first, second):
     """Nef cone of the fibre product, basis (xi, zeta, F): each factor
     contributes its minimal-slope ray."""
-    _check_ranks(first, second)
-    return RationalCone(
-        3,
-        [(1, 0, -bn.mu_min(first)), (0, 1, -bn.mu_min(second)), (0, 0, 1)],
-    )
+    return _curve_cone([first, second], bn.mu_min)
 
 
 def psef_fibre_product(first, second):
@@ -100,23 +104,15 @@ def psef_fibre_product(first, second):
     factors it collapses onto the nef cone, and for unstable ones the first
     two rays are the classes of the destabilizing subbundle loci.
     """
-    _check_ranks(first, second)
-    return RationalCone(
-        3,
-        [(1, 0, -bn.mu_max(first)), (0, 1, -bn.mu_max(second)), (0, 0, 1)],
-    )
+    return _curve_cone([first, second], bn.mu_max)
 
 
 def fibre_product_cones(first, second):
-    """ConeReport wrapper around the two fibre product closed forms."""
-    _check_ranks(first, second)
-    return _report(
-        SpacePreset.fibre_product(first.rank, second.rank, first.degree, second.degree),
-        1,
-        ("xi", "zeta", "F"),
-        nef_fibre_product(first, second),
-        psef_fibre_product(first, second),
-    )
+    """ConeReport of the fibre product, with the two closed forms above."""
+    nef = _curve_cone([first, second], bn.mu_min)
+    psef = _curve_cone([first, second], bn.mu_max)
+    preset = SpacePreset.fibre_product(first.rank, second.rank, first.degree, second.degree)
+    return _report(preset, 1, ("xi", "zeta", "F"), nef, psef)
 
 
 def iterated_fibre_product_cones(tower):
@@ -129,37 +125,27 @@ def iterated_fibre_product_cones(tower):
     report; any unstable bundle is rejected.
     """
     tower = list(tower)
-    for bundle in tower:
-        if bundle.rank < 2:
-            raise InputError("projectivization needs rank at least 2")
+    if not tower:
+        ample = RationalCone(1, [(1,)])
+        return [_report(None, 1, ("pt",), ample, ample)]
+    first = tower[0]
+    reports = []
+    for stage, bundle in enumerate(tower, 1):
+        # the rank check runs in _curve_cone, so each bundle is checked in list order
+        cone = _curve_cone(tower[:stage], bn.slope)
         if not bundle.semistable:
             raise InputError(
                 f"bundle {bundle.name!r} is unstable; the tower construction "
                 "requires every bundle to be semistable"
             )
-    if not tower:
-        ample = RationalCone(1, [(1,)])
-        return [_report(None, 1, ("pt",), ample, ample)]
-    reports = []
-    for stage in range(1, len(tower) + 1):
-        dim = stage + 1
-        gens = []
-        for i in range(stage):
-            mu = bn.slope(tower[i])
-            vec = [Fraction(0)] * dim
-            vec[i] = Fraction(1)
-            vec[-1] = -mu
-            gens.append(tuple(vec))
-        gens.append(tuple([Fraction(0)] * (dim - 1) + [Fraction(1)]))
-        cone = RationalCone(dim, gens)
-        labels = tuple(f"xi{i + 1}" for i in range(stage)) + ("F",)
         preset = None
         if stage == 1:
-            preset = SpacePreset.curve(tower[0].rank, tower[0].degree)
+            preset = SpacePreset.curve(first.rank, first.degree)
         elif stage == 2:
             preset = SpacePreset.fibre_product(
-                tower[0].rank, tower[1].rank, tower[0].degree, tower[1].degree
+                first.rank, bundle.rank, first.degree, bundle.degree
             )
+        labels = tuple(f"xi{i + 1}" for i in range(stage)) + ("F",)
         reports.append(_report(preset, 1, labels, cone, cone))
     return reports
 
@@ -273,3 +259,24 @@ def surface_cone_report(preset, k):
     if psef != closed:
         raise InternalError("closed-form cone drifted from the product cone")
     return _report(preset, k, labels, nef, closed)
+
+
+# the report of each curve-base kind on its factors, and the error for k != 1
+_CURVE_SPACES = {
+    PROJ_BUNDLE_OVER_CURVE: (miyaoka_cones, "curve spaces only carry k = 1 divisor cones"),
+    FIBRE_PRODUCT_OVER_CURVE: (
+        fibre_product_cones,
+        "fibre product cones are computed for k = 1 only",
+    ),
+}
+
+
+def cone_report(preset, k, factors):
+    """Codimension-k report of any preset; ``factors`` are the bundles it
+    was built from, which the curve-base reports read."""
+    if preset.is_surface:
+        return surface_cone_report(preset, k)
+    report, message = _CURVE_SPACES[preset.kind]
+    if k != 1:
+        raise InputError(message)
+    return report(*factors)

@@ -13,16 +13,11 @@ import json
 import sys
 
 from .bundles import HNCurveBundle, SurfaceBundleData
-from .catalog import (
-    fibre_product_cones,
-    k_homogeneous_check,
-    miyaoka_cones,
-    surface_cone_report,
-)
+from .catalog import cone_report, k_homogeneous_check
 from .cones import inequality_text
 from .errors import InputError, InternalError
 from .rationals import format_rational, parse_rational
-from .ring import FIBRE_PRODUCT_OVER_CURVE, PROJ_BUNDLE_OVER_CURVE, SpacePreset, _KINDS
+from .ring import SpacePreset, _KINDS
 from .selftest import CHECKS, run_check, run_selftest
 from .zariski import decompose
 
@@ -30,15 +25,16 @@ from .zariski import decompose
 class WorkspaceSpec:
     """Validated workspace: base kind, named bundles, selected space.
 
-    ``space`` is ("proj_bundle", bundle) or ("fibre_product", (first,
-    second)) with resolved bundle objects; ``preset`` is the matching ring
-    preset. ``classes`` maps optional names to coordinate tuples.
+    ``factors`` is the tuple of bundle objects the selected space is built
+    from: one for a projectivized bundle, two for a fibre product.
+    ``preset`` is the matching ring preset, whose kind tells the two apart.
+    ``classes`` maps optional names to coordinate tuples.
     """
 
-    def __init__(self, base_kind, bundles, space, preset, classes):
+    def __init__(self, base_kind, bundles, factors, preset, classes):
         self.base_kind = base_kind
         self.bundles = dict(bundles)
-        self.space = space
+        self.factors = tuple(factors)
         self.preset = preset
         self.classes = dict(classes)
 
@@ -86,7 +82,6 @@ def parse_workspace(data):
             raise _rescope(path, err) from None
         if surface.positive and param <= 0:
             _fail(path, "must be positive")
-        gram = surface.gram(param)
 
     records = obj.get("bundles")
     if not isinstance(records, list) or not records:
@@ -109,7 +104,7 @@ def parse_workspace(data):
                 c1 = record.get("c1", ())
                 if not isinstance(c1, list) or len(c1) != want:
                     _fail(f"{path}.c1", f"needs {want} coordinate(s) for this base")
-                bundles[name] = SurfaceBundleData.from_json(record, gram)
+                bundles[name] = SurfaceBundleData.from_json(record)
         except InputError as err:
             raise _rescope(path, err) from None
 
@@ -134,22 +129,22 @@ def parse_workspace(data):
                 preset = surface.from_base(bundle.rank, param, bundle.c1, bundle.c2)
         except InputError as err:
             raise _rescope("space", err) from None
-        selected = ("proj_bundle", bundle)
+        factors = (bundle,)
     elif space_kind == "fibre_product":
         if surface is not None:
             _fail("space", "fibre products are supported over curve bases only")
-        factors = space.get("factors")
-        if not isinstance(factors, list) or len(factors) != 2:
+        names = space.get("factors")
+        if not isinstance(names, list) or len(names) != 2:
             _fail("space.factors", "needs exactly two bundle names")
-        first = resolve("space.factors[0]", factors[0])
-        second = resolve("space.factors[1]", factors[1])
+        first = resolve("space.factors[0]", names[0])
+        second = resolve("space.factors[1]", names[1])
         try:
             preset = SpacePreset.fibre_product(
                 first.rank, second.rank, first.degree, second.degree
             )
         except InputError as err:
             raise _rescope("space", err) from None
-        selected = ("fibre_product", (first, second))
+        factors = (first, second)
     else:
         _fail("space.kind", f"unknown space kind {space_kind!r}")
 
@@ -166,7 +161,7 @@ def parse_workspace(data):
         except InputError as err:
             raise _rescope(path, err) from None
 
-    return WorkspaceSpec(base_kind, bundles, selected, preset, classes)
+    return WorkspaceSpec(base_kind, bundles, factors, preset, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +200,6 @@ def _parse_k(flags, default=1):
         raise InputError(f"flag --k needs an integer, got {raw!r}") from None
 
 
-# the closed-form report of each curve-base kind on the workspace's space,
-# and the error for a k other than 1
-_CURVE_REPORTS = {
-    PROJ_BUNDLE_OVER_CURVE: (miyaoka_cones, "curve spaces only carry k = 1 divisor cones"),
-    FIBRE_PRODUCT_OVER_CURVE: (
-        lambda pair: fibre_product_cones(*pair),
-        "fibre product cones are computed for k = 1 only",
-    ),
-}
-
-
-def _cone_report(spec, k):
-    preset = spec.preset
-    if preset.is_surface:
-        return surface_cone_report(preset, k)
-    report, message = _CURVE_REPORTS[preset.kind]
-    if k != 1:
-        raise InputError(message)
-    return report(spec.space[1])
-
-
 def _parse_class(spec, tokens, expected):
     if len(tokens) == 1 and tokens[0] in spec.classes:
         coords = spec.classes[tokens[0]]
@@ -262,7 +236,7 @@ def _cmd_cone(spec, rest, json_output):
     if len(positional) != 1 or positional[0] not in ("nef", "psef"):
         raise InputError("usage: cone nef|psef [--k K]")
     which = positional[0]
-    report = _cone_report(spec, _parse_k(flags))
+    report = cone_report(spec.preset, _parse_k(flags), spec.factors)
     cone = report.nef if which == "nef" else report.psef
     if json_output:
         payload = cone.to_json()
@@ -292,7 +266,7 @@ def _cmd_member(spec, rest, json_output):
         raise InputError("flag --cone must be nef or psef")
     if not positional:
         raise InputError("usage: member <class> [--cone nef|psef] [--k K]")
-    report = _cone_report(spec, _parse_k(flags))
+    report = cone_report(spec.preset, _parse_k(flags), spec.factors)
     cone = report.nef if which == "nef" else report.psef
     coords = _parse_class(spec, positional, cone.dim)
     hit = cone.violated_constraint(coords)
@@ -323,12 +297,12 @@ def _cmd_member(spec, rest, json_output):
 
 
 def _cmd_zariski(spec, rest, json_output):
-    if spec.space[0] != "fibre_product":
+    if len(spec.factors) != 2:
         raise InputError("zariski needs a fibre_product space")
     if not rest:
         raise InputError("usage: zariski <class>")
     coords = _parse_class(spec, rest, 3)
-    first, second = spec.space[1]
+    first, second = spec.factors
     cert = decompose(first, second, coords)
     if json_output:
         return 0, _dump(cert.to_json())

@@ -193,9 +193,6 @@ class RationalCone:
             self.contains(g) for g in other.generators
         )
 
-    def __hash__(self):
-        raise TypeError("RationalCone is not hashable")
-
     def _check_dim(self, vector):
         if len(vector) != self.dim:
             raise InputError(

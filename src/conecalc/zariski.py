@@ -417,12 +417,3 @@ def verify(cert, first, second):
         reasons.append("P + N does not reproduce the input class")
     return VerifyResult(not reasons, tuple(reasons))
 
-
-def extremal_ray_decompositions(first, second):
-    """Decompose every extremal ray of the pseudoeffective cone.
-
-    Each ray comes back with its certificate: nef rays split as P = ray
-    with empty N, the others as P = 0 with N = ray.
-    """
-    cone = psef_fibre_product(first, second)
-    return [(ray, decompose(first, second, ray)) for ray in cone.extremal_rays()]

@@ -1,7 +1,6 @@
-"""Slopes, quotient ladders, symmetric-power Chern data."""
+"""Slopes, quotient ladders, surface bundle records."""
 
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given
@@ -14,7 +13,6 @@ from conecalc.bundles import (
     mu_min,
     slope,
     sub_bundle_after_step,
-    sym_twist_c1,
     validate_hn,
 )
 from conecalc.errors import InputError
@@ -68,26 +66,6 @@ def test_sub_bundle_after_step():
         sub_bundle_after_step(HNCurveBundle(2, 0), 1)
 
 
-def test_sym_twist_c1_examples():
-    assert sym_twist_c1(2, 0, 2, 1) == (3, 3)
-    assert sym_twist_c1(2, 7, 1, 0) == (2, 7)
-    assert sym_twist_c1(3, 6, 2, -4) == (6, 0)
-
-
-def test_sym_twist_c1_coordinates():
-    rank, c1 = sym_twist_c1(2, (2, 0), 2, (0, 1))
-    assert rank == 3
-    assert c1 == (6, 3)
-    with pytest.raises(InputError):
-        sym_twist_c1(2, (1, 2), 1, (1,))
-
-
-def test_sym_rank_matches_binomial():
-    for r in range(1, 6):
-        for m in range(1, 6):
-            assert sym_twist_c1(r, 0, m, 0)[0] == comb(m + r - 1, r - 1)
-
-
 def test_c2_end():
     # c2(End) lives on the preset; its constructors demand it vanish, so the
     # nonzero case is built field by field
@@ -102,14 +80,14 @@ def test_c2_end():
 def test_bundle_json_round_trip():
     b = HNCurveBundle(3, 2, [(2, -1), (1, 3)], name="E2")
     assert HNCurveBundle.from_json(b.to_json()) == b
-    s = SurfaceBundleData(2, (2,), 1, True, ((1,),))
-    assert SurfaceBundleData.from_json(s.to_json(), ((1,),)) == s
+    s = SurfaceBundleData(2, (2,), 1, True)
+    assert SurfaceBundleData.from_json(s.to_json()) == s
 
 
 def test_surface_bundle_c1_must_be_a_list():
     record = {"rank": 2, "c1": "12", "c2": "0"}
     with pytest.raises(InputError, match="malformed coordinate list: '12'"):
-        SurfaceBundleData.from_json(record, ((1, 0), (0, 1)))
+        SurfaceBundleData.from_json(record)
 
 
 ladders = st.lists(

@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecalc.bundles import HNCurveBundle
@@ -127,6 +128,135 @@ def test_tower_empty_and_unstable():
     with pytest.raises(InputError) as err:
         iterated_fibre_product_cones(spoiled)
     assert "unstable" in str(err.value)
+
+
+# --- differential test: one curve rule against the literal closed forms
+
+
+RANK_ERROR = "projectivization needs rank at least 2"
+
+
+@st.composite
+def hn_bundles(draw):
+    """A bundle of rank 1 to 5 with a valid quotient ladder, slopes rising."""
+    left = draw(st.integers(1, 5))
+    quotients = []
+    while left:
+        rank = draw(st.integers(1, left))
+        left -= rank
+        low = -6
+        if quotients:
+            low = floor(Fraction(quotients[-1][1], quotients[-1][0]) * rank) + 1
+        quotients.append((rank, draw(st.integers(low, low + 4))))
+    rank = sum(r for r, _ in quotients)
+    return HNCurveBundle(rank, sum(d for _, d in quotients), quotients)
+
+
+semistable = st.builds(HNCurveBundle, st.integers(2, 5), st.integers(-6, 6))
+
+
+def _slopes(bundle):
+    """(mu_min, mu_max, slope) read off the ladder."""
+    (r0, d0), (r1, d1) = bundle.quotients[0], bundle.quotients[-1]
+    return Fraction(d0, r0), Fraction(d1, r1), Fraction(bundle.degree, bundle.rank)
+
+
+def _literal_report(space, basis, nef_rows, psef_rows, equal):
+    nef, psef = RationalCone(len(basis), nef_rows), RationalCone(len(basis), psef_rows)
+    payload = {"space": space, "k": 1, "basis": list(basis), "equal": equal}
+    payload.update(nef=nef.to_json(), psef=psef.to_json())
+    return payload, nef, psef
+
+
+def _tower_expected(tower):
+    """The error the tower raises first, in list order, or its stage reports."""
+    for bundle in tower:
+        if bundle.rank < 2:
+            return RANK_ERROR
+        if not bundle.semistable:
+            return "unstable"
+    stages = []
+    for stage in range(1, len(tower) + 1):
+        rows = [
+            tuple(int(j == i) for j in range(stage)) + (-_slopes(tower[i])[2],)
+            for i in range(stage)
+        ]
+        rows.append((0,) * stage + (1,))
+        first = tower[0]
+        space = {"kind": "curve_base"}
+        if stage == 1:
+            space = SpacePreset.curve(first.rank, first.degree).to_json()
+        elif stage == 2:
+            second = tower[1]
+            space = SpacePreset.fibre_product(
+                first.rank, second.rank, first.degree, second.degree
+            ).to_json()
+        basis = [f"xi{i + 1}" for i in range(stage)] + ["F"]
+        stages.append(_literal_report(space, basis, rows, rows, True))
+    return stages
+
+
+LINE = HNCurveBundle(1, 3)
+UNSTABLE = HNCurveBundle(2, 0, [(1, -1), (1, 1)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(hn_bundles(), hn_bundles(), st.lists(st.one_of(hn_bundles(), semistable), max_size=4))
+# the rank error comes first, per bundle in list order
+@example(LINE, UNSTABLE, [LINE, UNSTABLE])
+@example(UNSTABLE, LINE, [UNSTABLE, LINE])
+def test_curve_cones_match_literal_formulas(first, second, tower):
+    lo1, hi1, _ = _slopes(first)
+    lo2, hi2, _ = _slopes(second)
+    if first.rank < 2:
+        with pytest.raises(InputError, match=f"^{RANK_ERROR}$"):
+            miyaoka_cones(first)
+    else:
+        want, nef, psef = _literal_report(
+            SpacePreset.curve(first.rank, first.degree).to_json(),
+            ("xi", "f"),
+            [(1, -lo1), (0, 1)],
+            [(1, -hi1), (0, 1)],
+            first.semistable,
+        )
+        report = miyaoka_cones(first)
+        assert report.to_json() == want
+        assert (report.nef.generators, report.psef.generators) == (nef.generators, psef.generators)
+
+    pair_calls = (fibre_product_cones, nef_fibre_product, psef_fibre_product)
+    if first.rank < 2 or second.rank < 2:
+        for call in pair_calls:
+            with pytest.raises(InputError, match=f"^{RANK_ERROR}$"):
+                call(first, second)
+    else:
+        want, nef, psef = _literal_report(
+            SpacePreset.fibre_product(
+                first.rank, second.rank, first.degree, second.degree
+            ).to_json(),
+            ("xi", "zeta", "F"),
+            [(1, 0, -lo1), (0, 1, -lo2), (0, 0, 1)],
+            [(1, 0, -hi1), (0, 1, -hi2), (0, 0, 1)],
+            first.semistable and second.semistable,
+        )
+        report = fibre_product_cones(first, second)
+        assert report.to_json() == want
+        assert (report.nef.generators, report.psef.generators) == (nef.generators, psef.generators)
+        assert nef_fibre_product(first, second).generators == nef.generators
+        assert psef_fibre_product(first, second).generators == psef.generators
+
+    expected = _tower_expected(tower)
+    if isinstance(expected, str):
+        with pytest.raises(InputError, match=expected):
+            iterated_fibre_product_cones(tower)
+        return
+    reports = iterated_fibre_product_cones(tower)
+    if not tower:
+        assert [r.to_json()["basis"] for r in reports] == [["pt"]]
+        return
+    assert len(reports) == len(expected)
+    for report, (want, nef, _) in zip(reports, expected):
+        assert report.to_json() == want
+        assert report.nef.generators == report.psef.generators == nef.generators
 
 
 # --- surface base ----------------------------------------------------------

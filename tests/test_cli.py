@@ -74,13 +74,13 @@ def test_parse_workspace_ok():
     spec = cli.parse_workspace(json.dumps(FIBRE_WS))
     assert spec.base_kind == "curve"
     assert spec.preset.kind == FIBRE_PRODUCT_OVER_CURVE
-    assert spec.space[0] == "fibre_product"
+    assert len(spec.factors) == 2
     assert spec.classes["alpha"] == (1, 1, 0)
 
 
 def test_parse_workspace_accepts_bytes():
     spec = cli.parse_workspace(json.dumps(CURVE_WS).encode())
-    assert spec.space[1].degree == 3
+    assert spec.factors[0].degree == 3
 
 
 def test_parse_workspace_bad_ladder():
@@ -217,7 +217,7 @@ def test_zariski_text_and_json(tmp_path, capsys):
         "verified": True,
     }
     spec = cli.parse_workspace(json.dumps(FIBRE_WS))
-    first, second = spec.space[1]
+    first, second = spec.factors
     cert = ZariskiCertificate.from_json(payload, first, second)
     assert verify(cert, first, second).ok
 
@@ -265,6 +265,17 @@ def test_cone_k_flag_on_surface(tmp_path, capsys):
     code, _ = run(capsys, ["-w", ws_file(tmp_path, CURVE_WS), "cone", "nef", "--k", "2"])
     assert code == 2
 
+
+def test_curve_spaces_reject_k_other_than_one(tmp_path, capsys):
+    for payload, message in (
+        (CURVE_WS, "curve spaces only carry k = 1 divisor cones"),
+        (FIBRE_WS, "fibre product cones are computed for k = 1 only"),
+    ):
+        path = ws_file(tmp_path, payload)
+        assert run(capsys, ["-w", path, "cone", "nef", "--k", "2"]) == (2, f"error: {message}\n")
+        code, out = run(capsys, ["-w", path, "--json", "cone", "nef", "--k", "2"])
+        assert code == 2
+        assert json.loads(out) == {"error": message, "reasons": [message]}
 
 def test_input_error_exit_codes(tmp_path, capsys):
     code, out = run(capsys, ["cone", "psef"])

@@ -17,7 +17,6 @@ from conecalc.zariski import (
     ReductionStep,
     ZariskiCertificate,
     decompose,
-    extremal_ray_decompositions,
     reduce_step,
     terminal_decompose,
     verify,
@@ -338,18 +337,3 @@ def test_exceptional_multiplicity_is_an_intersection_number():
         assert ring.degree_eval(f"{cls} * {functional}") == a
         step = reduce_step(first, (a, b, c))
         assert step.exceptional_multiplicity == a
-
-
-def test_extremal_ray_decompositions():
-    rows = extremal_ray_decompositions(UN2, SS2)
-    assert len(rows) == 3
-    for ray, cert in rows:
-        assert cert.verified
-        if coords(cert.P) == (0, 0, 0):
-            assert len(cert.N) == 1
-            gen, coeff = cert.N[0]
-            assert coords(gen) == ray and coeff == 1
-        else:
-            assert coords(cert.P) == ray and cert.N == ()
-    nef_only = extremal_ray_decompositions(SS2, SS2)
-    assert all(cert.N == () for _, cert in nef_only)
