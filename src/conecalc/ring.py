@@ -17,6 +17,7 @@ bases the base parameter, divisor names, Gram form and c1 coordinates.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from types import SimpleNamespace
 
 from .errors import InputError, InternalError
@@ -123,18 +124,6 @@ def _clean(poly):
     return {m: c for m, c in poly.items() if c != 0}
 
 
-def _padd(a, b):
-    out = dict(a)
-    for mono, coeff in b.items():
-        out[mono] = out.get(mono, Fraction(0)) + coeff
-    return _clean(out)
-
-
-def _pscale(a, s):
-    s = Fraction(s)
-    return _clean({m: c * s for m, c in a.items()})
-
-
 def _pmul(a, b):
     out = {}
     for m1, c1 in a.items():
@@ -142,13 +131,6 @@ def _pmul(a, b):
             mono = tuple(x + y for x, y in zip(m1, m2))
             out[mono] = out.get(mono, Fraction(0)) + c1 * c2
     return _clean(out)
-
-
-def _ppow(a, n, width):
-    out = {(0,) * width: Fraction(1)}
-    for _ in range(n):
-        out = _pmul(out, a)
-    return out
 
 
 class IntersectionRing:
@@ -188,7 +170,13 @@ class IntersectionRing:
 
     def _reduce(self, poly, pick=None):
         """Rewrite until irreducible. ``pick(mono, rule_indices)`` overrides
-        the deterministic first-listed-rule choice; used to test confluence."""
+        the deterministic first-listed-rule choice; used to test confluence.
+
+        ``normal_form`` is the only caller, and it hands over homogeneous
+        polynomials of degree at most ``dim`` alone: a class above the
+        dimension is zero without rewriting. The pop guard is an internal
+        assertion that no input reaches.
+        """
         result = {}
         stack = [(m, c) for m, c in poly.items() if c != 0]
         guard = 0
@@ -209,12 +197,15 @@ class IntersectionRing:
         return _clean(result)
 
     def _as_poly(self, expr):
+        """(polynomial, its degree if known, and the (lowest, highest) degree
+        of a part above the dimension left unexpanded, or None)."""
         if isinstance(expr, NumClass):
             if expr.gens != self.gens:
                 raise InputError("class belongs to a ring with different generators")
-            return dict(expr.coeffs), expr.degree
+            return dict(expr.coeffs), expr.degree, None
         if isinstance(expr, str):
-            return parse_expression(self, expr), None
+            poly = parse_expression(self, expr)
+            return poly, None, poly.above
         if isinstance(expr, dict):
             width = len(self.gens)
             poly = {}
@@ -225,17 +216,24 @@ class IntersectionRing:
                 coeff = Fraction(coeff)
                 if coeff:
                     poly[mono] = poly.get(mono, Fraction(0)) + coeff
-            return poly, None
+            return poly, None, None
         raise InputError(f"cannot interpret {type(expr).__name__} as a ring element")
 
     def normal_form(self, expr, degree=None, _pick=None):
         """Reduce to the unique irreducible representative, as a NumClass.
 
-        The expression must be homogeneous as written (rules preserve degree,
+        ``expr`` is an expression string, a {monomial: coeff} dict or a
+        NumClass. It must be homogeneous as written (rules preserve degree,
         so distinct degrees could never recombine); a mixed input raises.
+        For a string, the degrees of its part above the dimension count as
+        the parser recorded them (see ``parse_expression``). A zero input
+        takes ``degree`` (default 0). A homogeneous input of degree above
+        ``dim`` is the zero class of that degree, found without rewriting.
         """
-        poly, known = self._as_poly(expr)
+        poly, known, above = self._as_poly(expr)
         degrees = {self.monomial_degree(m) for m in poly}
+        if above is not None:
+            degrees.update(above)
         if len(degrees) > 1:
             raise InputError(
                 "degree mismatch: expression mixes degrees "
@@ -243,6 +241,8 @@ class IntersectionRing:
             )
         if known is None:
             known = degrees.pop() if degrees else (degree if degree is not None else 0)
+        if known > self.dim:
+            return NumClass(self.gens, known, {})
         reduced = self._reduce(poly, pick=_pick)
         return NumClass(self.gens, known, reduced)
 
@@ -325,6 +325,151 @@ class IntersectionRing:
 
 # ---------------------------------------------------------------------------
 # expression parsing
+#
+# The parser computes with graded values (parts, above). ``parts`` maps each
+# degree up to the ring dimension to its exact homogeneous part, a nonempty
+# {monomial: coeff} dict. ``above`` is the (lowest, highest) degree of the
+# part past the dimension, or None when there is none. Every class of degree
+# above the dimension is zero, so that part is never expanded: products drop
+# each monomial pair whose degree passes the ceiling and keep only its degree,
+# which is all normal_form needs to tell a homogeneous input from a mixed one.
+
+# Parser limits; an input past one is an InputError. Coefficients stay short
+# enough to print: Python 3.11 and later refuse to turn an int of more than
+# 4300 digits (about 14 000 bits) into text, and reduction still multiplies
+# by the ring's own coefficients.
+MAX_EXPRESSION_CHARS = 10_000
+MAX_EXPONENT_DIGITS = 100
+MAX_NESTING = 100
+MAX_COEFFICIENT_BITS = 1024
+MAX_PRODUCT_PAIRS = 20_000
+
+_DIGITS = "0123456789"
+
+
+class CeilingPoly(dict):
+    """Polynomial parsed under a ring's degree ceiling: the exact monomials of
+    degree at most ``dim``, and in ``above`` the (lowest, highest) degree of
+    the part past it, or None when there is none."""
+
+    __slots__ = ("above",)
+
+    def __init__(self, above):
+        super().__init__()
+        self.above = above
+
+
+def _coefficient_too_large():
+    return InputError(f"coefficient with more than {MAX_COEFFICIENT_BITS} bits in expression")
+
+
+def _bits(coeff):
+    return max(coeff.numerator.bit_length(), coeff.denominator.bit_length())
+
+
+def _settled(parts, above):
+    """A graded value, checked and trimmed. A part above the dimension that
+    spans two degrees keeps the value mixed through every later sum, product
+    and power, save a product with zero or a zeroth power, which read no
+    parts; so its parts are dropped."""
+    if above is not None and above[0] < above[1]:
+        return {}, above
+    if any(_bits(c) > MAX_COEFFICIENT_BITS for part in parts.values() for c in part.values()):
+        raise _coefficient_too_large()
+    return parts, above
+
+
+def _degrees(value):
+    """Degrees present in a graded value, the ends of its part above the
+    dimension included; empty for zero."""
+    parts, above = value
+    return list(parts) + list(above or ())
+
+
+def _graded_sum(a, b):
+    parts = dict(a[0])
+    for d, part in b[0].items():
+        total = dict(parts.get(d, ()))
+        for mono, coeff in part.items():
+            total[mono] = total.get(mono, Fraction(0)) + coeff
+        total = _clean(total)
+        if total:
+            parts[d] = total
+        else:
+            parts.pop(d, None)
+    if a[1] is None or b[1] is None:
+        above = a[1] or b[1]
+    else:
+        above = (min(a[1][0], b[1][0]), max(a[1][1], b[1][1]))
+    return _settled(parts, above)
+
+
+def _graded_negate(value):
+    parts, above = value
+    return {d: {m: -c for m, c in part.items()} for d, part in parts.items()}, above
+
+
+class _Ceiling:
+    """Products and powers of graded values under one ring's dimension.
+
+    One instance serves one expression: ``pairs`` counts the monomial pairs
+    it has multiplied, and past ``MAX_PRODUCT_PAIRS`` the expression is
+    refused, so the work of a parse stays bounded whatever the ring size.
+    """
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.pairs = 0
+
+    def product(self, a, b):
+        """Pairs of degree above the dimension only widen ``above``."""
+        dim = self.dim
+        jobs = [
+            (d1 + d2, p1, p2)
+            for d1, p1 in a[0].items()
+            for d2, p2 in b[0].items()
+            if d1 + d2 <= dim
+        ]
+        self.pairs += sum(len(p1) * len(p2) for _, p1, p2 in jobs)
+        if self.pairs > MAX_PRODUCT_PAIRS:
+            raise InputError(
+                f"expression needs more than {MAX_PRODUCT_PAIRS} monomial products "
+                "below the ring dimension"
+            )
+        parts = {}
+        for d, p1, p2 in jobs:
+            out = parts.setdefault(d, {})
+            for m1, c1 in p1.items():
+                for m2, c2 in p2.items():
+                    mono = tuple(map(add, m1, m2))
+                    out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+        parts = {d: part for d, part in ((d, _clean(p)) for d, p in parts.items()) if part}
+        # the lowest and highest degree of a product are sums of the factors'
+        # (polynomials over a field have no zero divisors), and an end of a
+        # factor's part above dim can only pair past dim
+        passing = [x + y for x in _degrees(a) for y in _degrees(b) if x + y > dim]
+        return _settled(parts, (min(passing), max(passing)) if passing else None)
+
+    def power(self, value, n):
+        """``value ** n`` for n >= 1, by repeated squaring; all above the
+        dimension at once when even the lowest degree passes it."""
+        degrees = _degrees(value)
+        if degrees and n * min(degrees) > self.dim:
+            return {}, (n * min(degrees), n * max(degrees))
+        if degrees == [0]:
+            # a constant: one Fraction power, whose size is known beforehand
+            ((mono, coeff),) = value[0][0].items()
+            if n * (_bits(coeff) - 1) >= MAX_COEFFICIENT_BITS:
+                raise _coefficient_too_large()
+            return _settled({0: {mono: coeff**n}}, None)
+        result = None
+        while True:
+            if n & 1:
+                result = value if result is None else self.product(result, value)
+            n >>= 1
+            if not n:
+                return result
+            value = self.product(value, value)
 
 
 def _tokenize(text):
@@ -337,13 +482,13 @@ def _tokenize(text):
         elif ch in "+-*^()":
             tokens.append(ch)
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1].isdigit():
+            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1] in _DIGITS:
                 j += 1
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
             tokens.append(text[i:j])
             i = j
@@ -359,16 +504,34 @@ def _tokenize(text):
 
 
 def parse_expression(ring, text):
-    """Parse '2*xi^3*zeta - 1/2*F' style input into a monomial polynomial.
+    """Parse '2*xi^3*zeta - 1/2*F' style input under the ring's degree ceiling.
 
     Grammar: sums and differences of terms; a term is '*'-joined factors;
     a factor is a rational literal, a generator, or a parenthesized
-    expression, optionally raised to a nonnegative integer power.
+    expression, optionally raised to a nonnegative integer power. Numbers
+    are ASCII digits; an exponent has at most ``MAX_EXPONENT_DIGITS``
+    digits and parentheses nest at most ``MAX_NESTING`` deep.
+
+    Returns a ``CeilingPoly``: the monomials of degree at most ``ring.dim``,
+    exact, and in ``above`` the (lowest, highest) degree of the part past
+    ``ring.dim``, which is zero in the ring and is not expanded. Products
+    and powers never build a monomial above the dimension: ``a^n`` squares
+    repeatedly, and lies above the dimension at once when n times the lowest
+    degree of ``a`` does. Only a part above the dimension that cancels in the
+    full expansion (``xi^9 - xi^9`` on a ring of dimension below 9) goes
+    unseen: its degrees stay in ``above``.
     """
+    if len(text) > MAX_EXPRESSION_CHARS:
+        raise InputError(
+            f"expression has {len(text)} characters; at most {MAX_EXPRESSION_CHARS} are allowed"
+        )
     tokens = _tokenize(text)
     pos = 0
+    depth = 0
+    dim = ring.dim
     width = len(ring.gens)
-    one = {(0,) * width: Fraction(1)}
+    ceiling = _Ceiling(dim)
+    one = ({0: {(0,) * width: Fraction(1)}}, None)
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -380,51 +543,68 @@ def parse_expression(ring, text):
         return tok
 
     def parse_sum():
-        sign = Fraction(1)
-        if peek() in ("+", "-"):
-            sign = Fraction(-1) if take() == "-" else Fraction(1)
-        total = _pscale(parse_term(), sign)
+        negate = peek() in ("+", "-") and take() == "-"
+        total = parse_term()
+        if negate:
+            total = _graded_negate(total)
         while peek() in ("+", "-"):
-            sign = Fraction(-1) if take() == "-" else Fraction(1)
-            total = _padd(total, _pscale(parse_term(), sign))
+            term = _graded_negate(parse_term()) if take() == "-" else parse_term()
+            total = _graded_sum(total, term)
         return total
 
     def parse_term():
-        poly = parse_factor()
+        value = parse_factor()
         while peek() == "*":
             take()
-            poly = _pmul(poly, parse_factor())
-        return poly
+            value = ceiling.product(value, parse_factor())
+        return value
 
     def parse_factor():
         base = parse_atom()
-        if peek() == "^":
-            take()
-            tok = take()
-            if tok is None or not tok.isdigit():
-                raise InputError("exponent must be a nonnegative integer")
-            return _ppow(base, int(tok), width)
-        return base
+        if peek() != "^":
+            return base
+        take()
+        tok = take()
+        if tok is None or not tok.isdigit():
+            raise InputError("exponent must be a nonnegative integer")
+        if len(tok) > MAX_EXPONENT_DIGITS:
+            raise InputError(
+                f"exponent {tok[:20]}... has {len(tok)} digits; "
+                f"at most {MAX_EXPONENT_DIGITS} are allowed"
+            )
+        n = int(tok)
+        return one if n == 0 else ceiling.power(base, n)
 
     def parse_atom():
+        nonlocal depth
         tok = take()
         if tok is None:
             raise InputError("expression ended unexpectedly")
         if tok == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise InputError(f"parentheses nest more than {MAX_NESTING} deep")
             inner = parse_sum()
             if take() != ")":
                 raise InputError("missing closing parenthesis")
+            depth -= 1
             return inner
-        if tok[0].isdigit():
-            return _pscale(one, parse_rational(tok))
+        if tok[0] in _DIGITS:
+            coeff = parse_rational(tok)
+            return _settled({0: {(0,) * width: coeff}} if coeff else {}, None)
         if tok in ring.gens:
-            mono = tuple(1 if g == tok else 0 for g in ring.gens)
-            return {mono: Fraction(1)}
+            i = ring.gens.index(tok)
+            mono = tuple(int(j == i) for j in range(width))
+            d = ring.gen_degrees[i]
+            return ({d: {mono: Fraction(1)}}, None) if d <= dim else ({}, (d, d))
         raise InputError(f"unknown generator {tok!r}; ring has {', '.join(ring.gens)}")
 
-    poly = parse_sum()
+    parts, above = parse_sum()
     if pos != len(tokens):
         raise InputError(f"unexpected token {tokens[pos]!r}")
+    poly = CeilingPoly(above)
+    for part in parts.values():
+        poly.update(part)
     return poly
 
 
@@ -707,7 +887,9 @@ def verify_lambda_vanishing(rank, c1_squared, c2):
     c1_squared, c2 = Fraction(c1_squared), Fraction(c2)
     ring = _surface_xi_ring(None, rank, ("piA",), ((c1_squared,),), (Fraction(1),), c2)
     lam = {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(-1, rank)}
-    power = _ppow(lam, rank, 3)
+    power = {(0, 0, 0): Fraction(1)}
+    for _ in range(rank):
+        power = _pmul(power, lam)
     return ring.normal_form(power, degree=rank).is_zero
 
 

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,9 @@ from conecalc.cones import RationalCone
 from conecalc.errors import InputError, InternalError
 from conecalc.ring import FIBRE_PRODUCT_OVER_CURVE
 from conecalc.zariski import ZariskiCertificate, verify
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKSPACES = os.path.join(ROOT, "bench", "workspaces")
 
 FIBRE_WS = {
     "base": {"kind": "curve"},
@@ -390,10 +394,82 @@ def test_surface_bundle_fields_are_strict(tmp_path, capsys, field, value, messag
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "k, code, start",
+    [
+        ("0_2", 2, "error: flag --k needs an integer, got '0_2'"),
+        (" +2", 2, "error: flag --k needs an integer"),
+        ("\u0662", 2, "error: flag --k needs an integer"),
+        ("2.0", 2, "error: flag --k needs an integer"),
+        ("", 2, "error: flag --k needs an integer"),
+        ("1" * 5000, 2, "error: k out of range: 11111"),
+        ("-1", 2, "error: k out of range 1..2\n"),
+        ("+2", 0, "codimension: 2\n"),
+    ],
+    ids=["underscore", "space", "arabic-indic", "decimal", "empty", "5000-digits", "-1", "+2"],
+)
+def test_k_flag_reads_ascii_digits_only(tmp_path, capsys, k, code, start):
+    got, out = run(capsys, ["-w", ws_file(tmp_path, RHO1_WS), "cone", "nef", "--k", k])
+    assert got == code and out.startswith(start)
+
+
+def test_bundle_rank_cap_is_path_addressed(tmp_path, capsys):
+    rank = cli.MAX_RANK
+    workspace = copy.deepcopy(RHO1_WS)
+    workspace["bundles"][0]["rank"] = rank
+    assert run(capsys, ["-w", ws_file(tmp_path, workspace), "cone", "nef"])[0] == 0
+    workspace["bundles"][0]["rank"] = rank + 1
+    code, out = run(capsys, ["-w", ws_file(tmp_path, workspace), "cone", "nef"])
+    message = f"error: bundles[0].rank: rank {rank + 1} is above the limit of {rank}\n"
+    assert (code, out) == (2, message)
+    curve = copy.deepcopy(FIBRE_WS)
+    curve["bundles"][1]["rank"] = 400
+    code, out = run(capsys, ["-w", ws_file(tmp_path, curve), "cone", "nef"])
+    assert code == 2 and out.startswith("error: bundles[1].rank: ")
+
+
+def test_integer_too_long_to_convert_is_invalid_json(tmp_path, capsys):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(CURVE_WS).replace('"rank": 2', '"rank": ' + "1" * 5000))
+    code, out = run(capsys, ["-w", str(path), "cone", "nef"])
+    # Python 3.11 and later refuse to convert the integer; 3.10 reads it and
+    # the rank cap refuses it
+    assert code == 2
+    assert out.startswith(("error: workspace: not valid JSON", "error: bundles[0].rank: "))
+
+
+def _rank400_workspace(tmp_path):
+    workspace = copy.deepcopy(RHO1_WS)
+    workspace["bundles"][0]["rank"] = 400
+    return ws_file(tmp_path, workspace, "rank400.json")
+
+
+@pytest.mark.parametrize(
+    "workspace, argv, want",
+    [
+        ("fibre.json", ["ring", "eval", "xi^3000000"], 0),
+        ("fibre.json", ["ring", "eval", "(xi+2*zeta)^1000"], 0),
+        ("rho1.json", ["ring", "eval", "(lambda+piL)^5000"], 0),
+        (None, ["cone", "nef", "--k", "1"], 2),
+    ],
+)
+def test_unbounded_inputs_of_the_past_answer_fast(tmp_path, capsys, workspace, argv, want):
+    """Each once took seconds to minutes; each answers zero or is refused."""
+    if workspace is None:
+        path = _rank400_workspace(tmp_path)
+    else:
+        path = os.path.join(WORKSPACES, workspace)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        code, _ = run(capsys, ["-w", path] + argv)
+        times.append(time.perf_counter() - start)
+        assert code == want
+    assert min(times) < 0.05, times
+
+
 # --- boundary fuzz ---------------------------------------------------------
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKSPACES = os.path.join(ROOT, "bench", "workspaces")
 
 
 def _parseable_workspaces():
@@ -409,12 +485,31 @@ def _parseable_workspaces():
 
 
 FUZZ_BASES = _parseable_workspaces()
-FUZZ_VALUES = (None, True, False, 0, 1, -1, 2, 7, 2.5, "1/2", "110", [], {})
+FUZZ_VALUES = (None, True, False, 0, 1, -1, 2, 7, 2.5, "1/2", "110", [], {}, 24, 25, 400, 10**6)
 FUZZ_COMMANDS = (
     [("cone", "nef"), ("cone", "psef", "--k", "2"), ("member", "1,1,0"), ("zariski", "1,1,0")]
     + [("homog", "--k", str(k)) for k in range(6)]
     + [("ring", "eval", "xi^2")]
 )
+# one of these runs per example: large exponents, deep nesting, long input
+FUZZ_EXPRESSIONS = (
+    "xi^3000000",
+    "(xi+2*zeta)^1000",
+    "(lambda+piL)^5000",
+    "(1+xi+zeta+F)^" + "9" * 100,
+    "(1+lambda+piEta+piF+F)^" + "9" * 100,
+    "xi^" + "9" * 101,
+    "xi^" + "9" * 5000,
+    "2^" + "9" * 30,
+    "(" * 100 + "xi" + ")" * 100,
+    "(" * 3000 + "xi" + ")" * 3000,
+    " + ".join(["xi"] * 2000),
+    " + ".join(["xi"] * 2001),
+    "*".join(["(1+lambda)"] * 900),
+    "(xi+zeta+F)^4 * (1/2*xi-3*zeta)^2",
+)
+# per call; the work a call may do is bounded by the caps, not by this
+WALL_S = 1.0
 
 
 def _paths(node, prefix=()):
@@ -443,14 +538,21 @@ def test_workspace_fuzz_exits_cleanly(data):
             del container[key]
         else:
             container[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+    start = time.perf_counter()
     try:
         spec = cli.parse_workspace(json.dumps(workspace))
     except InputError:
         return
+    finally:
+        assert time.perf_counter() - start < WALL_S
     json_output = data.draw(st.booleans())
-    for command in FUZZ_COMMANDS:
+    expression = data.draw(st.sampled_from(FUZZ_EXPRESSIONS))
+    for command in FUZZ_COMMANDS + [("ring", "eval", expression)]:
+        start = time.perf_counter()
         try:
             code, _ = cli.run_command(spec, list(command), json_output)
         except InputError:
             continue
+        finally:
+            assert time.perf_counter() - start < WALL_S, command[:2]
         assert code in (0, 1), command

@@ -335,6 +335,30 @@ def test_integer_dual_equals_fraction_dual(case):
     _assert_same_cone(cone.dual(pairing), _fraction_dual(cone, pairing))
 
 
+def _nonsingular(matrix):
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(cones_with_pairing())
+def test_dual_of_dual_is_the_cone(case):
+    """Arbitrary (not only simplicial) cones: dualising under a nonsingular
+    pairing and then under its transpose gives the cone back."""
+    cone, pairing = case
+    assume(_nonsingular(pairing.matrix))
+    transpose = Pairing([list(col) for col in zip(*pairing.matrix)])
+    assert cone.dual(pairing).dual(transpose) == cone
+
+
 def test_integer_dual_on_singular_pairing_and_zero_cone():
     cone = RationalCone(3, [(1, 0, 0), (1, 2, 0), (0, 1, 1)])
     singular = Pairing([["1/2", 1, 0], [-1, "-2", 0], ["3/2", 3, 0]])

@@ -4,13 +4,17 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conecalc import ring as ring_module
 from conecalc.errors import InputError
 from conecalc.ring import (
+    IntersectionRing,
+    NumClass,
     SpacePreset,
     build_curve_bundle_ring,
     build_fibre_product_ring,
@@ -374,3 +378,185 @@ def test_normal_form_degree_preserved(m, n, d, d2, a, b, c):
     assert cls.degree == deg
     for out in cls.coeffs:
         assert ring.monomial_degree(out) == deg
+
+
+# --- degree-ceiling parsing ----------------------------------------------
+
+# one small ring of each kind: the reference below expands in full
+CEILING_RINGS = (
+    build_curve_bundle_ring(3, -2),
+    build_fibre_product_ring(2, 2, 1, -1),
+    build_lambda_ring_surface(rho1_preset(3, 2, 1)),
+    build_lambda_ring_surface(ruled_preset(2, Fraction(1, 2), (1, 1))),
+)
+
+
+def _expression_trees(ring):
+    above = st.sampled_from(range(ring.dim + 1, ring.dim + 4))
+    leaves = st.one_of(
+        st.sampled_from(ring.gens * 2 + ("0", "1", "1/2", "-3")),
+        st.tuples(st.just("^"), st.sampled_from(ring.gens), above),
+    )
+
+    def extend(inner):
+        power = st.tuples(st.just("^"), inner, st.sampled_from(range(ring.dim + 4)))
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*"), inner, inner),
+            st.tuples(st.just("neg"), inner),
+            power,
+            power,
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+def _render(tree):
+    if isinstance(tree, str):
+        return f"({tree})"
+    if tree[0] == "neg":
+        return f"(-{_render(tree[1])})"
+    if tree[0] == "^":
+        return f"({_render(tree[1])}^{tree[2]})"
+    return f"({_render(tree[1])} {tree[0]} {_render(tree[2])})"
+
+
+def _nominal_degree(ring, tree):
+    if isinstance(tree, str):
+        return ring.gen_degrees[ring.gens.index(tree)] if tree in ring.gens else 0
+    if tree[0] == "neg":
+        return _nominal_degree(ring, tree[1])
+    if tree[0] == "^":
+        return _nominal_degree(ring, tree[1]) * tree[2]
+    left, right = _nominal_degree(ring, tree[1]), _nominal_degree(ring, tree[2])
+    return left + right if tree[0] == "*" else max(left, right)
+
+
+def _full_expansion(ring, tree):
+    """The free-ring expansion, and whether a component above the dimension
+    cancelled on the way (in a sum, or between the terms of a product)."""
+    width = len(ring.gens)
+
+    def above(poly):
+        return {ring.monomial_degree(m) for m in poly} - set(range(ring.dim + 1))
+
+    def times(a, b):
+        out = _mul(a, b)
+        want = {
+            ring.monomial_degree(m1) + ring.monomial_degree(m2) for m1 in a for m2 in b
+        } - set(range(ring.dim + 1))
+        return out, want != above(out)
+
+    if isinstance(tree, str):
+        if tree in ring.gens:
+            return {tuple(int(g == tree) for g in ring.gens): Fraction(1)}, False
+        value = Fraction(tree)
+        return ({(0,) * width: value} if value else {}), False
+    if tree[0] == "neg":
+        poly, lost = _full_expansion(ring, tree[1])
+        return {m: -c for m, c in poly.items()}, lost
+    if tree[0] == "^":
+        base, lost = _full_expansion(ring, tree[1])
+        poly = {(0,) * width: Fraction(1)}
+        for _ in range(tree[2]):
+            poly, cancelled = times(poly, base)
+            lost = lost or cancelled
+        return poly, lost
+    (a, lost_a), (b, lost_b) = (_full_expansion(ring, t) for t in tree[1:])
+    if tree[0] == "*":
+        poly, cancelled = times(a, b)
+    else:
+        sign = 1 if tree[0] == "+" else -1
+        poly = dict(a)
+        for m, c in b.items():
+            poly[m] = poly.get(m, Fraction(0)) + sign * c
+        poly = {m: c for m, c in poly.items() if c}
+        cancelled = (above(a) | above(b)) != above(poly)
+    return poly, lost_a or lost_b or cancelled
+
+
+REDUCE = IntersectionRing._reduce
+
+
+def _reduce_below_dimension(self, poly, pick=None):
+    assert all(self.monomial_degree(m) <= self.dim for m in poly), "above-dimension rewrite"
+    return REDUCE(self, poly, pick)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ceiling_parser_matches_full_expansion(data):
+    """Parsing under the degree ceiling gives what the full expansion gives."""
+    ring = data.draw(st.sampled_from(CEILING_RINGS))
+    tree = data.draw(_expression_trees(ring))
+    assume(_nominal_degree(ring, tree) <= 3 * (ring.dim + 3))
+    poly, cancelled = _full_expansion(ring, tree)
+    # the one documented difference: a part above the dimension that cancels
+    # in the full expansion is not seen by the ceiling
+    assume(not cancelled)
+    degrees = {ring.monomial_degree(m) for m in poly}
+    text = _render(tree)
+    with mock.patch.object(IntersectionRing, "_reduce", _reduce_below_dimension):
+        if len(degrees) > 1:
+            with pytest.raises(InputError, match="degree mismatch"):
+                ring.normal_form(text)
+            return
+        got = ring.normal_form(text).to_json()
+    want = NumClass(ring.gens, degrees.pop() if degrees else 0, REDUCE(ring, poly))
+    assert got == want.to_json(), text
+
+
+def test_ceiling_edge_cases():
+    ring = build_fibre_product_ring(4, 3, 1, 2)  # dimension 6
+    one = {"degree": 0, "terms": [{"monomial": "1", "coeff": "1"}]}
+    assert ring.normal_form("(xi^9)^0").to_json() == one
+    assert ring.normal_form("((1 + xi)^10)^0").to_json() == one
+    assert ring.normal_form("0*xi^9").to_json() == {"degree": 0, "terms": []}
+    assert ring.normal_form("0*(1 + xi)^10").to_json() == {"degree": 0, "terms": []}
+    assert ring.normal_form("xi^9").to_json() == {"degree": 9, "terms": []}
+    assert ring.normal_form("1 + xi^9 - 1").to_json() == {"degree": 9, "terms": []}
+    assert ring.normal_form("xi^3000000").to_json() == {"degree": 3000000, "terms": []}
+    assert ring.degree_eval("(xi + 2*zeta)^1000") == 0
+    # a homogeneous dict or class above the dimension is zero without rewriting
+    with mock.patch.object(IntersectionRing, "_reduce", _reduce_below_dimension):
+        assert ring.normal_form({(5, 4, 0): 3}).to_json() == {"degree": 9, "terms": []}
+        assert ring.normal_form(NumClass(ring.gens, 8, {(8, 0, 0): Fraction(1)})).is_zero
+    # the documented difference: the full expansion cancels xi^9, the ceiling
+    # only records its degree
+    assert ring.normal_form("xi^9 - xi^9").to_json() == {"degree": 9, "terms": []}
+    with pytest.raises(InputError, match="mixes degrees 1, 9"):
+        ring.normal_form("xi + xi^9 - xi^9")
+    for text in ("(1 + xi)^10", "xi^7 + xi^8", "(xi + xi^2)^7"):
+        with pytest.raises(InputError, match="degree mismatch"):
+            ring.normal_form(text)
+
+
+def test_parser_limits():
+    ring = build_fibre_product_ring(4, 3, 1, 2)
+    digits = ring_module.MAX_EXPONENT_DIGITS
+    assert ring.normal_form("xi^" + "9" * digits).is_zero
+    with pytest.raises(InputError, match=f"exponent 9+... has {digits + 1} digits"):
+        ring.normal_form("xi^" + "9" * (digits + 1))
+    with pytest.raises(InputError, match="exponent 9+... has 5000 digits"):
+        ring.normal_form("xi^" + "9" * 5000)
+    depth = ring_module.MAX_NESTING
+    assert str(ring.normal_form("(" * depth + "xi" + ")" * depth)) == "xi"
+    with pytest.raises(InputError, match="nest"):
+        ring.normal_form("(" * (depth + 1) + "xi" + ")" * (depth + 1))
+    with pytest.raises(InputError, match="nest"):
+        ring.normal_form("(" * 3000 + "xi" + ")" * 3000)
+    chars = ring_module.MAX_EXPRESSION_CHARS
+    assert str(ring.normal_form(" " * (chars - 2) + "xi")) == "xi"
+    with pytest.raises(InputError, match="characters"):
+        ring.normal_form(" " * (chars - 1) + "xi")
+    bits = ring_module.MAX_COEFFICIENT_BITS
+    assert ring.normal_form(f"2^{bits - 1}").coeffs
+    for text in (f"2^{bits}", f"2^{10 ** 40}", f"{2 ** (bits - 1)}*xi*{2 ** (bits - 1)}"):
+        with pytest.raises(InputError, match="coefficient"):
+            ring.normal_form(text)
+    big = build_fibre_product_ring(24, 24, 1, 2)
+    with pytest.raises(InputError, match="monomial products"):
+        big.normal_form("(1 + xi + zeta + F)^99")
+    # numbers are ASCII digits
+    for text in ("xi^\u00b2", "\u0662*xi", "xi^\u0662"):
+        with pytest.raises(InputError, match="unexpected character"):
+            ring.normal_form(text)
