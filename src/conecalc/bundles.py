@@ -5,11 +5,11 @@ rank/degree ladder of Harder-Narasimhan quotients. Nothing touches sheaves;
 ladders are caller-supplied input and only their shape is validated.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 from .rationals import format_rational, parse_bool, parse_coords, parse_int, parse_rational
+from .record import Record
 
 
 def validate_hn(rank, degree, quotients):
@@ -35,8 +35,7 @@ def validate_hn(rank, degree, quotients):
     return problems
 
 
-@dataclass(frozen=True)
-class HNCurveBundle:
+class HNCurveBundle(Record):
     """A bundle on a curve: rank, degree, and its quotient ladder.
 
     ``quotients[0]`` is the minimal-slope quotient of the filtration and the
@@ -45,20 +44,19 @@ class HNCurveBundle:
     omitting ``quotients`` defaults to that.
     """
 
-    rank: int
-    degree: int
-    quotients: tuple = None
-    name: str = "E"
+    __slots__ = ("rank", "degree", "quotients", "name")
 
-    def __post_init__(self):
-        quotients = self.quotients
+    def __init__(self, rank, degree, quotients=None, name="E"):
         if quotients is None:
-            quotients = ((self.rank, self.degree),)
+            quotients = ((rank, degree),)
         quotients = tuple((int(r), int(d)) for r, d in quotients)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "quotients", quotients)
-        if self.rank < 1:
+        object.__setattr__(self, "name", name)
+        if rank < 1:
             raise InputError("bundle rank must be positive")
-        problems = validate_hn(self.rank, self.degree, quotients)
+        problems = validate_hn(rank, degree, quotients)
         if problems:
             raise InputError(
                 "invalid quotient ladder: " + "; ".join(problems), reasons=problems
@@ -123,8 +121,7 @@ def sub_bundle_after_step(bundle, j):
     return HNCurveBundle(rank, degree, rest, name=bundle.name)
 
 
-@dataclass(frozen=True)
-class SurfaceBundleData:
+class SurfaceBundleData(Record):
     """Numerical data of a bundle on a surface.
 
     ``c1`` holds coordinates in the base's Neron-Severi basis; c1^2 and
@@ -132,16 +129,15 @@ class SurfaceBundleData:
     ``semistable`` is an asserted input flag, never computed.
     """
 
-    rank: int
-    c1: tuple
-    c2: Fraction
-    semistable: bool
+    __slots__ = ("rank", "c1", "c2", "semistable")
 
-    def __post_init__(self):
-        if self.rank < 2:
+    def __init__(self, rank, c1, c2, semistable):
+        if rank < 2:
             raise InputError("surface bundle rank must be at least 2")
-        object.__setattr__(self, "c1", tuple(Fraction(x) for x in self.c1))
-        object.__setattr__(self, "c2", Fraction(self.c2))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "c1", tuple(Fraction(x) for x in c1))
+        object.__setattr__(self, "c2", Fraction(c2))
+        object.__setattr__(self, "semistable", semistable)
 
     def to_json(self):
         return {

@@ -7,12 +7,12 @@ nef divisor generators on one side, pairing duality on the other) and so
 serves as the constructors' oracle.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bundles as bn
 from .cones import Pairing, RationalCone
 from .errors import InputError, InternalError
+from .record import Record
 from .ring import (
     FIBRE_PRODUCT_OVER_CURVE,
     PROJ_BUNDLE_OVER_CURVE,
@@ -26,8 +26,7 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
-class ConeReport:
+class ConeReport(Record):
     """Nef and pseudoeffective cones of one space in one codimension.
 
     ``basis`` lists the monomial labels the coordinates refer to. The nef
@@ -35,12 +34,15 @@ class ConeReport:
     ``equal`` records whether the two coincide.
     """
 
-    space: SpacePreset
-    k: int
-    basis: tuple
-    nef: RationalCone
-    psef: RationalCone
-    equal: bool
+    __slots__ = ("space", "k", "basis", "nef", "psef", "equal")
+
+    def __init__(self, space, k, basis, nef, psef, equal):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "nef", nef)
+        object.__setattr__(self, "psef", psef)
+        object.__setattr__(self, "equal", equal)
 
     def to_json(self):
         return {

@@ -12,15 +12,15 @@ import io
 import json
 import re
 import sys
+from time import perf_counter
 
 from .bundles import HNCurveBundle, SurfaceBundleData
-from .catalog import cone_report, k_homogeneous_check
-from .cones import inequality_text
 from .errors import InputError, InternalError
 from .rationals import format_rational, parse_rational
 from .ring import SpacePreset, _KINDS
-from .selftest import CHECKS, run_check, run_selftest
-from .zariski import decompose
+
+# The cone, zariski and selftest layers are imported inside the commands that
+# use them, so that one call loads only what its command needs.
 
 
 # Largest bundle rank a workspace may give. The cost of a surface cone report
@@ -244,6 +244,8 @@ def _cmd_ring(spec, rest, json_output):
 
 
 def _cmd_cone(spec, rest, json_output):
+    from .catalog import cone_report
+
     positional, flags = _split_flags(rest, {"k"})
     if len(positional) != 1 or positional[0] not in ("nef", "psef"):
         raise InputError("usage: cone nef|psef [--k K]")
@@ -272,6 +274,9 @@ def _cmd_cone(spec, rest, json_output):
 
 
 def _cmd_member(spec, rest, json_output):
+    from .catalog import cone_report
+    from .cones import inequality_text
+
     positional, flags = _split_flags(rest, {"k", "cone"})
     which = flags.get("cone", "nef")
     if which not in ("nef", "psef"):
@@ -309,6 +314,8 @@ def _cmd_member(spec, rest, json_output):
 
 
 def _cmd_zariski(spec, rest, json_output):
+    from .zariski import decompose
+
     if len(spec.factors) != 2:
         raise InputError("zariski needs a fibre_product space")
     if not rest:
@@ -342,6 +349,8 @@ def _cmd_zariski(spec, rest, json_output):
 
 
 def _cmd_homog(spec, rest, json_output):
+    from .catalog import k_homogeneous_check
+
     positional, flags = _split_flags(rest, {"k"})
     if positional or "k" not in flags:
         raise InputError("usage: homog --k K")
@@ -356,12 +365,16 @@ def _cmd_homog(spec, rest, json_output):
 
 
 def _cmd_selftest(json_output):
+    from .selftest import CHECKS, run_check, run_selftest
+
     if json_output:
         results = []
         all_ok = True
         for index in range(len(CHECKS)):
+            start = perf_counter()
             name, ok, detail = run_check(index)
-            results.append({"name": name, "ok": ok, "detail": detail})
+            seconds = perf_counter() - start
+            results.append({"name": name, "ok": ok, "detail": detail, "seconds": seconds})
             all_ok = all_ok and ok
         return (0 if all_ok else 1), _dump({"ok": all_ok, "results": results})
     stream = io.StringIO()

@@ -15,12 +15,12 @@ constraint kernels, so the ray part lives in a pointed quotient and the
 combinatorial adjacency test is valid there.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
 from .rationals import format_rational, parse_coords, parse_int, parse_records
+from .record import Record
 
 MAX_DIM = 6
 
@@ -131,15 +131,14 @@ def _dual_basis(gens, dim):
     return tuple(primitive([sign * rows[j][n + i] for j in range(n)]) for i in range(n))
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(Record):
     """Exact bilinear pairing; entry [i][j] pairs basis i of the source
     space with basis j of the target space."""
 
-    matrix: tuple
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        matrix = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
+    def __init__(self, matrix):
+        matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix):
             raise InputError("pairing matrix must be square and nonempty")

@@ -15,13 +15,13 @@ table ``_KINDS``: their fields and JSON form, ring builder, and for surface
 bases the base parameter, divisor names, Gram form and c1 coordinates.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from types import SimpleNamespace
 
 from .errors import InputError, InternalError
 from .rationals import format_rational, parse_coords, parse_int, parse_rational, parse_records
+from .record import Record
 
 
 def format_monomial(gens, mono):
@@ -42,24 +42,22 @@ def parse_monomial(gens, text):
     if text == "1":
         return tuple(exps)
     for factor in text.split("*"):
-        name, _, power = factor.strip().partition("^")
+        name, caret, power = factor.strip().partition("^")
         if name not in gens:
             raise InputError(f"unknown generator {name!r}; ring has {', '.join(gens)}")
-        if power:
-            try:
-                exp = int(power)
-            except ValueError:
-                raise InputError(f"bad exponent in {factor!r}") from None
+        exp = 1
+        if caret:
+            # the expression parser's rule: 1 to MAX_EXPONENT_DIGITS ASCII digits
+            if not 0 < len(power) <= MAX_EXPONENT_DIGITS or any(c not in _DIGITS for c in power):
+                raise InputError(f"bad exponent in {factor!r}")
+            exp = int(power)
             if exp < 1:
                 raise InputError(f"bad exponent in {factor!r}")
-        else:
-            exp = 1
         exps[gens.index(name)] += exp
     return tuple(exps)
 
 
-@dataclass(frozen=True)
-class NumClass:
+class NumClass(Record):
     """A homogeneous class: exact rational coefficients over monomials.
 
     ``coeffs`` maps exponent tuples to nonzero Fractions; zero classes have
@@ -67,9 +65,12 @@ class NumClass:
     coefficient map is never mutated after construction.
     """
 
-    gens: tuple
-    degree: int
-    coeffs: dict
+    __slots__ = ("gens", "degree", "coeffs")
+
+    def __init__(self, gens, degree, coeffs):
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def is_zero(self):
@@ -618,8 +619,7 @@ PROJ_BUNDLE_OVER_SURFACE_RHO1 = "proj_bundle_over_surface_rho1"
 PROJ_BUNDLE_OVER_RULED_SURFACE = "proj_bundle_over_ruled_surface"
 
 
-@dataclass(frozen=True)
-class SpacePreset:
+class SpacePreset(Record):
     """One of the supported total spaces, pinned down by numerical data.
 
     Use the classmethod constructors; they validate the preset contracts
@@ -630,16 +630,22 @@ class SpacePreset:
     kind table ``_KINDS``.
     """
 
-    kind: str
-    rank: int = None
-    degree: int = None
-    rank2: int = None
-    degree2: int = None
-    L2: Fraction = None
-    e: Fraction = None
-    c2: Fraction = None
-    mu: Fraction = None
-    c1: tuple = None
+    __slots__ = ("kind", "rank", "degree", "rank2", "degree2", "L2", "e", "c2", "mu", "c1")
+
+    def __init__(
+        self, kind, rank=None, degree=None, rank2=None, degree2=None,
+        L2=None, e=None, c2=None, mu=None, c1=None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "rank2", rank2)
+        object.__setattr__(self, "degree2", degree2)
+        object.__setattr__(self, "L2", L2)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "c1", c1)
 
     def _checked(self):
         spec = _KINDS[self.kind]

@@ -11,7 +11,6 @@ objects: `verify` re-derives every claim from the two bundles alone, and
 `decompose` refuses to return a certificate its own verifier rejects.
 """
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import bundles as bn
@@ -20,6 +19,7 @@ from .catalog import nef_fibre_product, psef_fibre_product
 from .cones import inequality_text, primitive
 from .errors import InputError, InternalError
 from .rationals import format_rational, parse_bool, parse_coords, parse_rational, parse_records
+from .record import Record
 from .ring import NumClass, build_fibre_product_ring
 
 BOTH_SEMISTABLE = "both_semistable"
@@ -81,8 +81,7 @@ def _axis_label(name, mu):
     return f"{name} + {format_rational(-mu)}*F"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(Record):
     """One ladder step on one factor, as a pure numerical record.
 
     The step replaces ``from_bundle`` by the subbundle left after peeling
@@ -92,29 +91,29 @@ class ReductionStep:
     multiplicities are storable on purpose: `verify` flags them.
     """
 
-    factor: str
-    from_bundle: HNCurveBundle
-    to_bundle: HNCurveBundle
-    blowup_center_rank: int
-    exceptional_multiplicity: Fraction
+    __slots__ = (
+        "factor", "from_bundle", "to_bundle", "blowup_center_rank", "exceptional_multiplicity"
+    )
 
-    def __post_init__(self):
-        if self.factor not in ("first", "second"):
-            raise InputError(f"unknown factor {self.factor!r}")
-        if self.blowup_center_rank + self.to_bundle.rank != self.from_bundle.rank:
+    def __init__(
+        self, factor, from_bundle, to_bundle, blowup_center_rank, exceptional_multiplicity
+    ):
+        if factor not in ("first", "second"):
+            raise InputError(f"unknown factor {factor!r}")
+        if blowup_center_rank + to_bundle.rank != from_bundle.rank:
             raise InputError("blow-up center rank does not match the rank drop")
-        if self.blowup_center_rank < 1:
+        if blowup_center_rank < 1:
             raise InputError("blow-up center rank must be positive")
-        if self.blowup_center_rank >= self.from_bundle.rank - 1:
+        if blowup_center_rank >= from_bundle.rank - 1:
             raise InputError(
                 "reduction step needs quotient rank at most rank - 2; "
                 "corank-one shapes are terminal"
             )
-        object.__setattr__(
-            self,
-            "exceptional_multiplicity",
-            Fraction(self.exceptional_multiplicity),
-        )
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "from_bundle", from_bundle)
+        object.__setattr__(self, "to_bundle", to_bundle)
+        object.__setattr__(self, "blowup_center_rank", blowup_center_rank)
+        object.__setattr__(self, "exceptional_multiplicity", Fraction(exceptional_multiplicity))
 
     def to_json(self):
         return {
@@ -140,8 +139,7 @@ class ReductionStep:
         )
 
 
-@dataclass(frozen=True)
-class ZariskiCertificate:
+class ZariskiCertificate(Record):
     """Decomposition evidence: input coordinates, the reduction chain, the
     terminal case label, nef part P, and the effective combination N.
 
@@ -151,24 +149,20 @@ class ZariskiCertificate:
     just caches its latest verdict.
     """
 
-    input_coords: tuple
-    steps: tuple
-    terminal_case: str
-    P: object
-    N: tuple
-    verified: bool
+    __slots__ = ("input_coords", "steps", "terminal_case", "P", "N", "verified")
 
-    def __post_init__(self):
-        coords = tuple(Fraction(x) for x in self.input_coords)
+    def __init__(self, input_coords, steps, terminal_case, P, N, verified):
+        coords = tuple(Fraction(x) for x in input_coords)
         if len(coords) != 3:
             raise InputError("certificate input must be a coordinate triple")
-        if self.terminal_case not in TERMINAL_CASES:
-            raise InputError(f"unknown terminal case {self.terminal_case!r}")
+        if terminal_case not in TERMINAL_CASES:
+            raise InputError(f"unknown terminal case {terminal_case!r}")
         object.__setattr__(self, "input_coords", coords)
-        object.__setattr__(self, "steps", tuple(self.steps))
-        object.__setattr__(
-            self, "N", tuple((gen, Fraction(coeff)) for gen, coeff in self.N)
-        )
+        object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "terminal_case", terminal_case)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "N", tuple((gen, Fraction(coeff)) for gen, coeff in N))
+        object.__setattr__(self, "verified", verified)
 
     def to_json(self):
         return {
@@ -316,26 +310,21 @@ def decompose(first, second, cls, order="first_then_second"):
             steps.append(step)
             chain[idx] = step.to_bundle
     P, N = terminal_decompose(chain[0], chain[1], coords)
-    cert = ZariskiCertificate(
-        input_coords=coords,
-        steps=tuple(steps),
-        terminal_case=_terminal_label(chain[0], chain[1]),
-        P=P,
-        N=N,
-        verified=False,
-    )
-    result = verify(cert, first, second)
+    fields = (coords, tuple(steps), _terminal_label(chain[0], chain[1]), P, N)
+    result = verify(ZariskiCertificate(*fields, verified=False), first, second)
     if not result:
         raise InternalError(
             "decomposition failed its own verification: " + "; ".join(result.reasons)
         )
-    return replace(cert, verified=True)
+    return ZariskiCertificate(*fields, verified=True)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    reasons: tuple
+class VerifyResult(Record):
+    __slots__ = ("ok", "reasons")
+
+    def __init__(self, ok, reasons):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reasons", reasons)
 
     def __bool__(self):
         return self.ok

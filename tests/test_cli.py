@@ -350,6 +350,11 @@ def test_selftest_json(capsys):
     assert payload["ok"] is True
     assert len(payload["results"]) == 9
     assert all(entry["ok"] for entry in payload["results"])
+    # each check's own elapsed time, as a JSON float
+    assert all(
+        isinstance(entry["seconds"], float) and entry["seconds"] >= 0
+        for entry in payload["results"]
+    )
 
 
 @pytest.mark.parametrize(

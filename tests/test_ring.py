@@ -338,6 +338,19 @@ def test_class_from_json_raises_only_input_errors():
             ring.class_from_json({"degree": 1, "terms": terms})
 
 
+@pytest.mark.parametrize(
+    "monomial", ["xi^0_1", "xi^\u0661", "xi^+2", "xi^ 2", "xi^", "xi^0", "xi^" + "1" * 101]
+)
+def test_class_from_json_reads_exponents_as_ascii_digits(monomial):
+    # the expression parser's rule: 1 to MAX_EXPONENT_DIGITS ASCII digits
+    ring = build_fibre_product_ring(3, 3, 4, -1)
+    with pytest.raises(InputError, match="bad exponent"):
+        ring.class_from_json({"degree": 2, "terms": [{"monomial": monomial, "coeff": "1"}]})
+    for text, degree in (("xi^2", 2), ("xi*zeta^2", 3), ("xi^" + "0" * 99 + "1", 1)):
+        cls = ring.class_from_json({"degree": degree, "terms": [{"monomial": text, "coeff": "1"}]})
+        assert cls.coeffs == ring.normal_form(text).coeffs
+
+
 def test_class_from_coordinates_round_trip():
     ring = build_fibre_product_ring(2, 3, 1, 2)
     basis = ring.basis(2)

@@ -1,7 +1,6 @@
 """Weak Zariski decomposition: reduction chains, terminal splits, verify."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import floor
 
@@ -25,6 +24,11 @@ from conecalc.zariski import (
 UN2 = HNCurveBundle(2, 0, [(1, -1), (1, 1)])
 SS2 = HNCurveBundle(2, 0)
 LADDER3 = HNCurveBundle(3, 4, [(1, 0), (2, 4)])
+
+
+def replace(cert, **changes):
+    fields = {name: getattr(cert, name) for name in cert.__slots__}
+    return ZariskiCertificate(**{**fields, **changes})
 
 
 def coords(cls):
