@@ -50,10 +50,6 @@ class HNCurveBundle(Record):
         if quotients is None:
             quotients = ((rank, degree),)
         quotients = tuple((int(r), int(d)) for r, d in quotients)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "quotients", quotients)
-        object.__setattr__(self, "name", name)
         if rank < 1:
             raise InputError("bundle rank must be positive")
         problems = validate_hn(rank, degree, quotients)
@@ -61,6 +57,7 @@ class HNCurveBundle(Record):
             raise InputError(
                 "invalid quotient ladder: " + "; ".join(problems), reasons=problems
             )
+        super().__init__(rank, degree, quotients, name)
 
     @property
     def semistable(self):
@@ -89,7 +86,10 @@ class HNCurveBundle(Record):
                 quotients = tuple((parse_int(r), parse_int(d)) for r, d in quotients)
             except (TypeError, ValueError):
                 raise InputError("hn must be a list of [rank, degree] pairs") from None
-        return cls(rank, degree, quotients, name=str(obj.get("name", "E")))
+        name = obj.get("name", "E")
+        if not isinstance(name, str):
+            raise InputError("bundle name must be a JSON string")
+        return cls(rank, degree, quotients, name)
 
 
 def slope(bundle):
@@ -134,10 +134,7 @@ class SurfaceBundleData(Record):
     def __init__(self, rank, c1, c2, semistable):
         if rank < 2:
             raise InputError("surface bundle rank must be at least 2")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "c1", tuple(Fraction(x) for x in c1))
-        object.__setattr__(self, "c2", Fraction(c2))
-        object.__setattr__(self, "semistable", semistable)
+        super().__init__(rank, tuple(Fraction(x) for x in c1), Fraction(c2), semistable)
 
     def to_json(self):
         return {

@@ -36,14 +36,6 @@ class ConeReport(Record):
 
     __slots__ = ("space", "k", "basis", "nef", "psef", "equal")
 
-    def __init__(self, space, k, basis, nef, psef, equal):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "nef", nef)
-        object.__setattr__(self, "psef", psef)
-        object.__setattr__(self, "equal", equal)
-
     def to_json(self):
         return {
             "space": self.space.to_json() if self.space else {"kind": "curve_base"},

@@ -8,11 +8,9 @@ selftest. Exit codes: 0 success, 1 negative answer to a yes/no question,
 """
 
 import argparse
-import io
 import json
 import re
 import sys
-from time import perf_counter
 
 from .bundles import HNCurveBundle, SurfaceBundleData
 from .errors import InputError, InternalError
@@ -365,21 +363,17 @@ def _cmd_homog(spec, rest, json_output):
 
 
 def _cmd_selftest(json_output):
-    from .selftest import CHECKS, run_check, run_selftest
+    from .selftest import run_selftest
 
+    results = run_selftest()
+    all_ok = all(result["ok"] for result in results)
     if json_output:
-        results = []
-        all_ok = True
-        for index in range(len(CHECKS)):
-            start = perf_counter()
-            name, ok, detail = run_check(index)
-            seconds = perf_counter() - start
-            results.append({"name": name, "ok": ok, "detail": detail, "seconds": seconds})
-            all_ok = all_ok and ok
-        return (0 if all_ok else 1), _dump({"ok": all_ok, "results": results})
-    stream = io.StringIO()
-    all_ok = run_selftest(stream)
-    return (0 if all_ok else 1), stream.getvalue().rstrip("\n")
+        text = _dump({"ok": all_ok, "results": results})
+    else:
+        text = "\n".join(
+            f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results
+        )
+    return (0 if all_ok else 1), text
 
 
 def _dump(payload):

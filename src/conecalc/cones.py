@@ -142,7 +142,7 @@ class Pairing(Record):
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix):
             raise InputError("pairing matrix must be square and nonempty")
-        object.__setattr__(self, "matrix", matrix)
+        super().__init__(matrix)
 
     @property
     def dim(self):

@@ -1,7 +1,9 @@
 """Frozen value records.
 
-A record class names its fields in ``__slots__`` and sets each one in its
-own straight-line ``__init__`` with ``object.__setattr__``. This base gives
+A record class names its fields in ``__slots__``, and ``Record.__init__``
+sets them from positional values in that order, raising ``TypeError`` on a
+wrong count. A record with defaults, coercions or checks runs them in its
+own ``__init__`` and ends with ``super().__init__(...)``. This base gives
 what a frozen dataclass would: no assignment after construction, equality
 and hashing on the field tuple, and the dataclass ``repr``. Building records
 this way keeps the standard dataclass machinery (and the ``inspect`` and
@@ -11,6 +13,16 @@ this way keeps the standard dataclass machinery (and the ``inspect`` and
 
 class Record:
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(names)} fields, got {len(values)}"
+            )
+        set_field = object.__setattr__  # the frozen __setattr__ below refuses
+        for name, value in zip(names, values):
+            set_field(self, name, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -3,7 +3,9 @@
 A ring is specified by generator names with integer codimensions, a finite
 ordered list of rewrite rules (monomial -> same-degree linear combination),
 and one top-degree monomial whose evaluation is normalized to 1. Monomials
-are exponent tuples aligned with the generator list.
+are exponent tuples aligned with the generator list. A ring query takes a
+``NumClass`` of that ring or an expression string, nothing else; a class
+carries its own degree, so a zero class keeps it.
 
 Every rule strictly decreases the lexicographic order on exponent tuples
 (generators are listed fibre class first, base pullbacks next, point-fibre
@@ -11,7 +13,7 @@ class last), so reduction terminates no matter the order rules are applied
 in; confluence on the published monomial sets is asserted by test.
 
 The four space presets differ only through one record each in the kind
-table ``_KINDS``: their fields and JSON form, ring builder, and for surface
+table ``_KINDS``: their fields and JSON writers, ring builder, and for surface
 bases the base parameter, divisor names, Gram form and c1 coordinates.
 """
 
@@ -20,7 +22,7 @@ from operator import add
 from types import SimpleNamespace
 
 from .errors import InputError, InternalError
-from .rationals import format_rational, parse_coords, parse_int, parse_rational, parse_records
+from .rationals import format_rational, parse_int, parse_rational, parse_records
 from .record import Record
 
 
@@ -66,11 +68,6 @@ class NumClass(Record):
     """
 
     __slots__ = ("gens", "degree", "coeffs")
-
-    def __init__(self, gens, degree, coeffs):
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def is_zero(self):
@@ -197,58 +194,44 @@ class IntersectionRing:
                 stack.append((tuple(a + b for a, b in zip(rest, rmono)), coeff * rcoeff))
         return _clean(result)
 
-    def _as_poly(self, expr):
-        """(polynomial, its degree if known, and the (lowest, highest) degree
-        of a part above the dimension left unexpanded, or None)."""
+    def normal_form(self, expr, _pick=None):
+        """Reduce to the unique irreducible representative, as a NumClass.
+
+        ``expr`` is a NumClass of this ring or an expression string; any
+        other input is an InputError. It must be homogeneous as written
+        (rules preserve degree, so distinct degrees could never recombine); a
+        mixed input raises. A class's degree counts as one of its degrees, so
+        a class keeps it, zero classes included, and a class whose terms have
+        another degree is mixed. For a string, the degrees of its part above
+        the dimension count as the parser recorded them (see
+        ``parse_expression``), and a zero string has degree 0. A homogeneous
+        input of degree above ``dim`` is the zero class of that degree, found
+        without rewriting.
+        """
         if isinstance(expr, NumClass):
             if expr.gens != self.gens:
                 raise InputError("class belongs to a ring with different generators")
-            return dict(expr.coeffs), expr.degree, None
-        if isinstance(expr, str):
+            poly, stated = expr.coeffs, (expr.degree,)
+        elif isinstance(expr, str):
             poly = parse_expression(self, expr)
-            return poly, None, poly.above
-        if isinstance(expr, dict):
-            width = len(self.gens)
-            poly = {}
-            for mono, coeff in expr.items():
-                mono = tuple(int(e) for e in mono)
-                if len(mono) != width or any(e < 0 for e in mono):
-                    raise InputError(f"bad monomial exponents {mono}")
-                coeff = Fraction(coeff)
-                if coeff:
-                    poly[mono] = poly.get(mono, Fraction(0)) + coeff
-            return poly, None, None
-        raise InputError(f"cannot interpret {type(expr).__name__} as a ring element")
-
-    def normal_form(self, expr, degree=None, _pick=None):
-        """Reduce to the unique irreducible representative, as a NumClass.
-
-        ``expr`` is an expression string, a {monomial: coeff} dict or a
-        NumClass. It must be homogeneous as written (rules preserve degree,
-        so distinct degrees could never recombine); a mixed input raises.
-        For a string, the degrees of its part above the dimension count as
-        the parser recorded them (see ``parse_expression``). A zero input
-        takes ``degree`` (default 0). A homogeneous input of degree above
-        ``dim`` is the zero class of that degree, found without rewriting.
-        """
-        poly, known, above = self._as_poly(expr)
+            stated = poly.above or ()
+        else:
+            raise InputError(f"cannot interpret {type(expr).__name__} as a ring element")
         degrees = {self.monomial_degree(m) for m in poly}
-        if above is not None:
-            degrees.update(above)
+        degrees.update(stated)
         if len(degrees) > 1:
             raise InputError(
                 "degree mismatch: expression mixes degrees "
                 + ", ".join(str(d) for d in sorted(degrees))
             )
-        if known is None:
-            known = degrees.pop() if degrees else (degree if degree is not None else 0)
-        if known > self.dim:
-            return NumClass(self.gens, known, {})
-        reduced = self._reduce(poly, pick=_pick)
-        return NumClass(self.gens, known, reduced)
+        degree = degrees.pop() if degrees else 0
+        if degree > self.dim:
+            return NumClass(self.gens, degree, {})
+        return NumClass(self.gens, degree, self._reduce(poly, pick=_pick))
 
     def degree_eval(self, expr):
-        """Evaluate a top-degree class against the normalized top monomial."""
+        """Evaluate a top-degree class or expression string against the
+        normalized top monomial."""
         cls = self.normal_form(expr)
         if cls.is_zero:
             return Fraction(0)
@@ -636,16 +619,7 @@ class SpacePreset(Record):
         self, kind, rank=None, degree=None, rank2=None, degree2=None,
         L2=None, e=None, c2=None, mu=None, c1=None,
     ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "rank2", rank2)
-        object.__setattr__(self, "degree2", degree2)
-        object.__setattr__(self, "L2", L2)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "c1", c1)
+        super().__init__(kind, rank, degree, rank2, degree2, L2, e, c2, mu, c1)
 
     def _checked(self):
         spec = _KINDS[self.kind]
@@ -725,23 +699,9 @@ class SpacePreset(Record):
 
     def to_json(self):
         out = {"kind": self.kind}
-        for name, (_, write) in _KINDS[self.kind].fields:
+        for name, write in _KINDS[self.kind].fields:
             out[name] = write(getattr(self, name))
         return out
-
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise InputError("preset record must be a JSON object")
-        kind = obj.get("kind")
-        spec = _KINDS.get(kind) if isinstance(kind, str) else None
-        if spec is None:
-            raise InputError(f"unknown preset kind {kind!r}")
-        try:
-            values = {name: read(obj[name]) for name, (read, _) in spec.fields}
-        except KeyError as err:
-            raise InputError(f"preset record needs {err.args[0]}") from None
-        return cls(kind, **values)._checked()
 
 
 def _require_c2_end_zero(preset):
@@ -896,7 +856,7 @@ def verify_lambda_vanishing(rank, c1_squared, c2):
     power = {(0, 0, 0): Fraction(1)}
     for _ in range(rank):
         power = _pmul(power, lam)
-    return ring.normal_form(power, degree=rank).is_zero
+    return ring.normal_form(NumClass(ring.gens, rank, power)).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -910,21 +870,19 @@ def _eta_f_coords(value):
     return coords
 
 
-def _read_eta_f(value):
-    return _eta_f_coords(parse_coords(value))
+def _eta_f_json(c1):
+    return [format_rational(x) for x in c1]
 
 
-# (JSON reader, JSON writer) of each field shape
-_INT = (parse_int, int)
-_RATIONAL = (parse_rational, format_rational)
-_ETA_F = (_read_eta_f, lambda c1: [format_rational(x) for x in c1])
+# JSON writer of each field shape
+_INT, _RATIONAL, _ETA_F = int, format_rational, _eta_f_json
 
 
 class _Kind(SimpleNamespace):
     """What sets one preset kind apart: one record of the kind table.
 
-    ``fields`` pairs each field's name with its JSON (reader, writer), in
-    JSON order; the fields named in ``ranks`` must be at least 2, else
+    ``fields`` pairs each field's name with its JSON writer, in JSON
+    order; the fields named in ``ranks`` must be at least 2, else
     ``rank_error``. ``ring`` builds a preset's intersection ring; it looks
     the builder up when called, so a replaced module attribute is seen. A
     surface kind also has the workspace ``base`` kind it sits over, that

@@ -109,11 +109,9 @@ class ReductionStep(Record):
                 "reduction step needs quotient rank at most rank - 2; "
                 "corank-one shapes are terminal"
             )
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "from_bundle", from_bundle)
-        object.__setattr__(self, "to_bundle", to_bundle)
-        object.__setattr__(self, "blowup_center_rank", blowup_center_rank)
-        object.__setattr__(self, "exceptional_multiplicity", Fraction(exceptional_multiplicity))
+        super().__init__(
+            factor, from_bundle, to_bundle, blowup_center_rank, Fraction(exceptional_multiplicity)
+        )
 
     def to_json(self):
         return {
@@ -157,12 +155,8 @@ class ZariskiCertificate(Record):
             raise InputError("certificate input must be a coordinate triple")
         if terminal_case not in TERMINAL_CASES:
             raise InputError(f"unknown terminal case {terminal_case!r}")
-        object.__setattr__(self, "input_coords", coords)
-        object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "terminal_case", terminal_case)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "N", tuple((gen, Fraction(coeff)) for gen, coeff in N))
-        object.__setattr__(self, "verified", verified)
+        N = tuple((gen, Fraction(coeff)) for gen, coeff in N)
+        super().__init__(coords, tuple(steps), terminal_case, P, N, verified)
 
     def to_json(self):
         return {
@@ -321,10 +315,6 @@ def decompose(first, second, cls, order="first_then_second"):
 
 class VerifyResult(Record):
     __slots__ = ("ok", "reasons")
-
-    def __init__(self, ok, reasons):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "reasons", reasons)
 
     def __bool__(self):
         return self.ok

@@ -84,6 +84,14 @@ def test_bundle_json_round_trip():
     assert SurfaceBundleData.from_json(s.to_json()) == s
 
 
+@pytest.mark.parametrize("name", [None, ["x"], 1])
+def test_bundle_name_must_be_a_json_string(name):
+    record = {"rank": 2, "degree": 0}
+    assert HNCurveBundle.from_json(record).name == "E"
+    with pytest.raises(InputError, match="bundle name must be a JSON string"):
+        HNCurveBundle.from_json(dict(record, name=name))
+
+
 def test_surface_bundle_c1_must_be_a_list():
     record = {"rank": 2, "c1": "12", "c2": "0"}
     with pytest.raises(InputError, match="malformed coordinate list: '12'"):

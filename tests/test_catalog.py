@@ -22,12 +22,18 @@ from conecalc.catalog import (
 )
 from conecalc.cones import Pairing, RationalCone
 from conecalc.errors import InputError
-from conecalc.ring import SpacePreset, _pmul, build_lambda_ring_surface
+from conecalc.ring import NumClass, SpacePreset, _pmul, build_lambda_ring_surface
 
 
 def rho1(rank, L2, e=0):
     c2 = Fraction((rank - 1) * e * e, 2 * rank) * Fraction(L2)
     return SpacePreset.surface_rho1(rank, L2, e, c2)
+
+
+def top_monomial_value(ring, m1, m2):
+    """degree_eval of the top-degree product of two basis monomials."""
+    mono = tuple(a + b for a, b in zip(m1, m2))
+    return ring.degree_eval(NumClass(ring.gens, ring.dim, {mono: Fraction(1)}))
 
 
 def ruled(rank, mu, c1=(0, 0)):
@@ -266,13 +272,7 @@ def test_eff_k_rho1_pairing_matrix():
     """Frozen pairing matrix for rank 3, k = 2, L^2 = 1."""
     ring = build_lambda_ring_surface(rho1(3, 1))
     basis = ring.basis(2)
-    matrix = [
-        [
-            ring.degree_eval({tuple(a + b for a, b in zip(m1, m2)): 1})
-            for m2 in basis
-        ]
-        for m1 in basis
-    ]
+    matrix = [[top_monomial_value(ring, m1, m2) for m2 in basis] for m1 in basis]
     assert matrix == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
 
@@ -281,13 +281,7 @@ def test_eff_k_rho1_rank4_antidiagonal():
     ring = build_lambda_ring_surface(rho1(4, L2))
     rows = ring.basis(3)
     cols = ring.basis(2)
-    matrix = [
-        [
-            ring.degree_eval({tuple(a + b for a, b in zip(m1, m2)): 1})
-            for m2 in cols
-        ]
-        for m1 in rows
-    ]
+    matrix = [[top_monomial_value(ring, m1, m2) for m2 in cols] for m1 in rows]
     assert matrix == [[0, 0, 1], [0, L2, 0], [1, 0, 0]]
 
 
@@ -386,14 +380,14 @@ def _from_scratch_cones(preset, k):
             poly = {(0,) * width: Fraction(1)}
             for i in combo:
                 poly = _pmul(poly, divisors[i])
-            cls = ring.normal_form(poly, degree=degree)
+            cls = ring.normal_form(NumClass(ring.gens, degree, poly))
             if not cls.is_zero:
                 vectors.append(cls.coordinates(basis))
         return RationalCone(len(basis), vectors)
 
     k2 = preset.rank + 1 - k
     matrix = [
-        [ring.degree_eval({tuple(a + b for a, b in zip(m2, m1)): 1}) for m1 in ring.basis(k)]
+        [top_monomial_value(ring, m2, m1) for m1 in ring.basis(k)]
         for m2 in ring.basis(k2)
     ]
     return product_cone(k), product_cone(k2).dual(Pairing(matrix))

@@ -84,6 +84,21 @@ def test_records_are_frozen_values(cls):
         a.extra = 1
 
 
+# how many trailing fields have a default; every other record takes them all
+DEFAULTED = {HNCurveBundle: 2, SpacePreset: 9}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_record_constructors_check_the_field_count(cls):
+    record = RECORDS[cls]()
+    values = tuple(getattr(record, name) for name in cls.__slots__)
+    assert cls(*values) == record
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values[: len(values) - DEFAULTED.get(cls, 0) - 1])
+
+
 def test_record_repr_and_equality_examples():
     assert repr(HNCurveBundle(2, 0)) == (
         "HNCurveBundle(rank=2, degree=0, quotients=((2, 0),), name='E')"

@@ -1,6 +1,5 @@
 """Intersection rings: published product tables, normal forms, bases."""
 
-import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -120,31 +119,6 @@ def test_lambda_ring_requires_vanishing_c2_end():
         SpacePreset.surface_rho1(2, 1, 2, 0)
 
 
-def test_preset_json_round_trip():
-    presets = [
-        SpacePreset.curve(3, -2),
-        SpacePreset.fibre_product(2, 4, -1, 3),
-        rho1_preset(3, Fraction(5, 3), Fraction(-3, 2)),
-        ruled_preset(4, Fraction(-1, 2), (Fraction(3, 2), Fraction(-2, 3))),
-    ]
-    for preset in presets:
-        payload = json.loads(json.dumps(preset.to_json()))
-        assert SpacePreset.from_json(payload) == preset
-    curve = presets[0].to_json()
-    for bad in (
-        {**curve, "kind": "proj_bundle_over_threefold"},
-        {**curve, "rank": 2.5},
-        {**curve, "rank": 3.0},
-        {**curve, "rank": "3"},
-        {**curve, "rank": True},
-        {"kind": curve["kind"], "rank": 3},
-        {**presets[3].to_json(), "c1": "12"},
-        [curve],
-    ):
-        with pytest.raises(InputError):
-            SpacePreset.from_json(bad)
-
-
 def _mul(a, b):
     out = {}
     for m1, c1 in a.items():
@@ -181,7 +155,9 @@ def test_lambda_xi_agreement():
                 acc = _mul(acc, lam_poly)
             tail = (0,) + mono[1:]
             acc = _mul(acc, {tail: Fraction(1)})
-            assert lam_ring.degree_eval({mono: 1}) == xi_ring.degree_eval(acc), (
+            lam_class = NumClass(lam_ring.gens, lam_ring.dim, {mono: Fraction(1)})
+            xi_class = NumClass(xi_ring.gens, xi_ring.dim, acc)
+            assert lam_ring.degree_eval(lam_class) == xi_ring.degree_eval(xi_class), (
                 preset.kind,
                 mono,
             )
@@ -224,6 +200,25 @@ def test_mixed_degree_rejected():
         ring.normal_form("xi + F^0")
     with pytest.raises(InputError):
         ring.degree_eval("xi")
+    # a class's own degree counts: terms of another degree make it mixed
+    with pytest.raises(InputError, match="mixes degrees 1, 2"):
+        ring.normal_form(NumClass(ring.gens, 2, {(1, 0, 0): Fraction(1)}))
+    with pytest.raises(InputError, match="mixes degrees 1, 3"):
+        ring.degree_eval(NumClass(ring.gens, 3, {(1, 0, 0): Fraction(1)}))
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [{(1.9, 0, 0): 1}, {(1, 0, 0): 0.1}, {(1, 0, 0): 1}, {}, [(1, 0, 0)], 1, None],
+    ids=repr,
+)
+def test_ring_queries_take_only_a_class_or_text(expr):
+    # a float exponent or coefficient must not be read as xi or a binary fraction
+    ring = build_fibre_product_ring(2, 2, 0, 1)
+    with pytest.raises(InputError, match="cannot interpret"):
+        ring.normal_form(expr)
+    with pytest.raises(InputError, match="cannot interpret"):
+        ring.degree_eval(expr)
 
 
 def test_confluence_random_rule_choice():
@@ -239,10 +234,9 @@ def test_confluence_random_rule_choice():
             mono = tuple(rng.randint(0, 3) for _ in range(width))
             if ring.monomial_degree(mono) > ring.dim:
                 continue
-            expected = ring.normal_form({mono: 1})
-            chaotic = ring.normal_form(
-                {mono: 1}, _pick=lambda m, hits: rng.choice(hits)
-            )
+            cls = NumClass(ring.gens, ring.monomial_degree(mono), {mono: Fraction(1)})
+            expected = ring.normal_form(cls)
+            chaotic = ring.normal_form(cls, _pick=lambda m, hits: rng.choice(hits))
             assert chaotic.coeffs == expected.coeffs
 
 
@@ -271,19 +265,17 @@ def test_degree_eval_linear():
     ring = build_fibre_product_ring(3, 2, 4, -1)
     rng = random.Random(3)
     top = ring.dim
+
+    def value(coords):
+        return ring.degree_eval(ring.class_from_coordinates(top, coords))
+
     for _ in range(25):
-        x = {m: rng.randint(-4, 4) for m in ring.basis(top)}
-        y = {m: rng.randint(-4, 4) for m in ring.basis(top)}
+        x = [rng.randint(-4, 4) for _ in ring.basis(top)]
+        y = [rng.randint(-4, 4) for _ in ring.basis(top)]
         a = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         b = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        combined = {}
-        for m, c in x.items():
-            combined[m] = combined.get(m, 0) + a * c
-        for m, c in y.items():
-            combined[m] = combined.get(m, 0) + b * c
-        assert ring.degree_eval(combined) == a * ring.degree_eval(
-            x
-        ) + b * ring.degree_eval(y)
+        combined = [a * p + b * q for p, q in zip(x, y)]
+        assert value(combined) == a * value(x) + b * value(y)
 
 
 def test_basis_orders_frozen():
@@ -383,11 +375,10 @@ def test_parse_expression_errors():
 )
 def test_normal_form_degree_preserved(m, n, d, d2, a, b, c):
     ring = build_fibre_product_ring(m, n, d, d2)
-    mono = (a, b, c)
     deg = a + b + c
     if deg > ring.dim:
         return
-    cls = ring.normal_form({mono: 1})
+    cls = ring.normal_form(f"xi^{a} * zeta^{b} * F^{c}")
     assert cls.degree == deg
     for out in cls.coeffs:
         assert ring.monomial_degree(out) == deg
@@ -529,9 +520,10 @@ def test_ceiling_edge_cases():
     assert ring.normal_form("1 + xi^9 - 1").to_json() == {"degree": 9, "terms": []}
     assert ring.normal_form("xi^3000000").to_json() == {"degree": 3000000, "terms": []}
     assert ring.degree_eval("(xi + 2*zeta)^1000") == 0
-    # a homogeneous dict or class above the dimension is zero without rewriting
+    # a homogeneous class above the dimension is zero without rewriting
     with mock.patch.object(IntersectionRing, "_reduce", _reduce_below_dimension):
-        assert ring.normal_form({(5, 4, 0): 3}).to_json() == {"degree": 9, "terms": []}
+        above = NumClass(ring.gens, 9, {(5, 4, 0): Fraction(3)})
+        assert ring.normal_form(above).to_json() == {"degree": 9, "terms": []}
         assert ring.normal_form(NumClass(ring.gens, 8, {(8, 0, 0): Fraction(1)})).is_zero
     # the documented difference: the full expansion cancels xi^9, the ceiling
     # only records its degree

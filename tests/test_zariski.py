@@ -270,6 +270,17 @@ def test_certificate_json_round_trip():
     assert verify(back, a, b).ok
 
 
+@pytest.mark.parametrize("name", [None, ["x"]])
+def test_certificate_reads_step_bundle_names_as_strings(name):
+    a = HNCurveBundle(4, 1, [(1, -2), (1, 0), (2, 3)])
+    b = HNCurveBundle(3, -1, [(1, -2), (2, 1)])
+    payload = decompose(a, b, (2, 3, 7)).to_json()
+    assert payload["steps"], "the case needs a reduction step to corrupt"
+    payload["steps"][0]["to"]["name"] = name
+    with pytest.raises(InputError, match="bundle name must be a JSON string"):
+        ZariskiCertificate.from_json(payload, a, b)
+
+
 def test_certificate_reads_verified_strictly():
     payload = decompose(UN2, SS2, (1, 1, 0)).to_json()
     payload["verified"] = "false"
