@@ -8,9 +8,10 @@ serves as the constructors' oracle.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from . import bundles as bn
-from .cones import Pairing, RationalCone
+from .cones import Pairing, RationalCone, primitive
 from .errors import InputError, InternalError
 from .record import Record
 from .ring import (
@@ -64,13 +65,22 @@ def _curve_cone(bundles, mu):
     (xi_1, ..., xi_n, F): spanned by xi_i - mu(E_i)*F and F.
 
     With mu = mu_min this is the nef cone, with mu = mu_max the
-    pseudoeffective one; each factor adds one ray and F comes last.
+    pseudoeffective one; each factor adds one ray, a primitive integer row,
+    and F comes last. The facets are closed-form (Miyaoka; Fulger), in
+    dual-basis order: a_i >= 0 for each i, then c + sum mu_i*a_i >= 0.
     """
     if any(bundle.rank < 2 for bundle in bundles):
         raise InputError("projectivization needs rank at least 2")
     n = len(bundles)
-    rows = [tuple(int(j == i) for j in range(n)) + (-mu(b),) for i, b in enumerate(bundles)]
-    return RationalCone(n + 1, rows + [(0,) * n + (1,)])
+    slopes = [mu(b) for b in bundles]
+    rows = [
+        tuple(s.denominator * (j == i) for j in range(n)) + (-s.numerator,)
+        for i, s in enumerate(slopes)
+    ]
+    top = lcm(*(s.denominator for s in slopes))
+    facets = [tuple(int(j == i) for j in range(n + 1)) for i in range(n)]
+    facets.append(primitive([top // s.denominator * s.numerator for s in slopes] + [top]))
+    return RationalCone(n + 1, rows + [(0,) * n + (1,)], _facets=facets)
 
 
 def miyaoka_cones(bundle):

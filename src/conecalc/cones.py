@@ -3,11 +3,12 @@
 Cones are stored as primitive integer generators in descending lex order.
 The facet description (outer normals plus span equations) is computed
 eagerly at construction, so membership, equality and duality are
-read-only table work afterwards. A simplicial cone (exactly dim linearly
-independent generators) takes its facets from the dual basis, the columns
-of the inverse generator matrix; every other cone gets them from a double
-description pass over the dual side. Duality scales the pairing to integers
-once, so its double description runs on primitive integer rows too.
+read-only table work afterwards. A curve-base cone is handed its facets
+in closed form, in dual-basis order; any other simplicial cone (exactly
+dim linearly independent generators) takes them from the dual basis, the
+columns of the inverse generator matrix; every other cone gets them from a
+double description pass over the dual side. Duality scales the pairing to
+integers once, so its double description runs on primitive integer rows too.
 
 The double description maintains (lineality basis, extreme rays, tight
 sets). The lineality basis always spans the intersection of the processed
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-from .rationals import format_rational, parse_coords, parse_int, parse_records
+from .rationals import as_fraction, format_rational, parse_coords, parse_int, parse_records
 from .record import Record
 
 MAX_DIM = 6
@@ -32,7 +33,7 @@ def primitive(vector):
             raise InputError("zero vector is not a ray")
         g = gcd(*vector)
         return tuple(x // g for x in vector)
-    fracs = [Fraction(x) for x in vector]
+    fracs = [as_fraction(x) for x in vector]
     if all(x == 0 for x in fracs):
         raise InputError("zero vector is not a ray")
     scale = lcm(*(x.denominator for x in fracs)) if fracs else 1
@@ -161,7 +162,8 @@ class RationalCone:
     is deterministic. The empty generator set is the zero cone.
     """
 
-    def __init__(self, dim, generators):
+    def __init__(self, dim, generators, _facets=None):
+        # _facets: what _dual_basis returns, passed only by closed-form constructors
         dim = int(dim)
         if not 1 <= dim <= MAX_DIM:
             raise InputError(f"cone dimension {dim} outside 1..{MAX_DIM}")
@@ -173,7 +175,7 @@ class RationalCone:
         self.dim = dim
         self.generators = tuple(sorted(set(gens), reverse=True))
         # facet inequalities plus span equations: together they cut out the cone
-        facets, span_normals = _dual_basis(self.generators, dim), ()
+        facets, span_normals = _facets or _dual_basis(self.generators, dim), ()
         if facets is None:
             facets, span_normals = _dd_rays(list(self.generators), dim)
         self._facets = tuple(facets)
@@ -197,7 +199,7 @@ class RationalCone:
             raise InputError(
                 f"vector length {len(vector)} does not match cone dimension {self.dim}"
             )
-        return tuple(Fraction(x) for x in vector)
+        return tuple(as_fraction(x) for x in vector)
 
     def violated_constraint(self, vector):
         """First violated facet or span equation, or None when inside.

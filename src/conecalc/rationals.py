@@ -13,11 +13,16 @@ from fractions import Fraction
 from .errors import InputError
 
 
+def as_fraction(value):
+    """``Fraction(value)``, without rebuilding a value that already is one."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def parse_rational(value):
     if isinstance(value, bool):
         raise InputError(f"malformed rational: {value!r}")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return as_fraction(value)
     if isinstance(value, str):
         text = value.strip()
         # the wire format is p/q; reject decimal or scientific notation even
@@ -59,7 +64,7 @@ def parse_coords(value):
 
 
 def format_rational(value):
-    value = Fraction(value)
+    value = as_fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

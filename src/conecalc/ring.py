@@ -13,7 +13,7 @@ class last), so reduction terminates no matter the order rules are applied
 in; confluence on the published monomial sets is asserted by test.
 
 The four space presets differ only through one record each in the kind
-table ``_KINDS``: their fields and JSON writers, ring builder, and for surface
+table ``_KINDS``: their field shapes, ring builder, and for surface
 bases the base parameter, divisor names, Gram form and c1 coordinates.
 """
 
@@ -605,9 +605,9 @@ PROJ_BUNDLE_OVER_RULED_SURFACE = "proj_bundle_over_ruled_surface"
 class SpacePreset(Record):
     """One of the supported total spaces, pinned down by numerical data.
 
-    Use the classmethod constructors; they validate the preset contracts
-    (ranks at least 2, positive L2, and 2r*c2 = (r-1)*c1^2 for surface
-    presets, the condition under which the lambda-basis presentation holds).
+    The constructor checks the kind, the field shapes, ranks at least 2 and
+    a positive L2; the classmethods coerce their arguments and also demand
+    2r*c2 = (r-1)*c1^2 of surface presets (the lambda-basis condition).
     Everything else that differs between kinds (JSON form, rank checks,
     ring builder, surface base data) comes from the kind's record in the
     kind table ``_KINDS``.
@@ -620,47 +620,48 @@ class SpacePreset(Record):
         L2=None, e=None, c2=None, mu=None, c1=None,
     ):
         super().__init__(kind, rank, degree, rank2, degree2, L2, e, c2, mu, c1)
-
-    def _checked(self):
-        spec = _KINDS[self.kind]
+        spec = _KINDS.get(kind) if type(kind) is str else None
+        if spec is None:
+            raise InputError(f"invalid preset: unknown kind {kind!r}")
+        shapes = dict(spec.fields)
+        for name, value in zip(self.__slots__[1:], self._values()[1:]):
+            if not (shapes[name][1](value) if name in shapes else value is None):
+                raise InputError(f"invalid preset: bad {name} {value!r} for {kind}")
         for name in spec.ranks:
             if getattr(self, name) < 2:
                 raise InputError(spec.rank_error)
-        if spec.gram is not None:
-            if spec.positive and getattr(self, spec.param) <= 0:
-                raise InputError(f"invalid preset: {spec.param} must be positive")
-            _require_c2_end_zero(self)
-        return self
+        if spec.positive and getattr(self, spec.param) <= 0:
+            raise InputError(f"invalid preset: {spec.param} must be positive")
 
     @classmethod
     def curve(cls, rank, degree):
-        return cls(PROJ_BUNDLE_OVER_CURVE, rank=int(rank), degree=int(degree))._checked()
+        return cls(PROJ_BUNDLE_OVER_CURVE, rank=int(rank), degree=int(degree))
 
     @classmethod
     def fibre_product(cls, m, n, d, d2):
         return cls(
             FIBRE_PRODUCT_OVER_CURVE, rank=int(m), degree=int(d), rank2=int(n), degree2=int(d2)
-        )._checked()
+        )
 
     @classmethod
     def surface_rho1(cls, rank, L2, e, c2):
-        return cls(
+        return _require_c2_end_zero(cls(
             PROJ_BUNDLE_OVER_SURFACE_RHO1,
             rank=int(rank),
             L2=Fraction(L2),
             e=Fraction(e),
             c2=Fraction(c2),
-        )._checked()
+        ))
 
     @classmethod
     def ruled_surface(cls, rank, mu, c1, c2):
-        return cls(
+        return _require_c2_end_zero(cls(
             PROJ_BUNDLE_OVER_RULED_SURFACE,
             rank=int(rank),
             mu=Fraction(mu),
-            c1=_eta_f_coords(c1),
+            c1=tuple(Fraction(x) for x in c1),
             c2=Fraction(c2),
-        )._checked()
+        ))
 
     @property
     def is_surface(self):
@@ -699,7 +700,7 @@ class SpacePreset(Record):
 
     def to_json(self):
         out = {"kind": self.kind}
-        for name, write in _KINDS[self.kind].fields:
+        for name, (write, _) in _KINDS[self.kind].fields:
             out[name] = write(getattr(self, name))
         return out
 
@@ -710,6 +711,7 @@ def _require_c2_end_zero(preset):
             "invalid preset: 2r*c2 - (r-1)*c1^2 must vanish, got "
             + format_rational(preset.c2_end)
         )
+    return preset
 
 
 # ---------------------------------------------------------------------------
@@ -863,27 +865,22 @@ def verify_lambda_vanishing(rank, c1_squared, c2):
 # the kind table
 
 
-def _eta_f_coords(value):
-    coords = tuple(Fraction(x) for x in value)
-    if len(coords) != 2:
-        raise InputError("invalid preset: c1 needs coordinates in (eta, f)")
-    return coords
-
-
 def _eta_f_json(c1):
     return [format_rational(x) for x in c1]
 
 
-# JSON writer of each field shape
-_INT, _RATIONAL, _ETA_F = int, format_rational, _eta_f_json
+# the JSON writer of each field shape, and the test a field value of that shape passes
+_INT = (int, lambda v: type(v) is int)
+_RATIONAL = (format_rational, lambda v: type(v) in (int, Fraction))
+_ETA_F = (_eta_f_json, lambda v: type(v) is tuple and len(v) == 2 and all(map(_RATIONAL[1], v)))
 
 
 class _Kind(SimpleNamespace):
     """What sets one preset kind apart: one record of the kind table.
 
-    ``fields`` pairs each field's name with its JSON writer, in JSON
-    order; the fields named in ``ranks`` must be at least 2, else
-    ``rank_error``. ``ring`` builds a preset's intersection ring; it looks
+    ``fields`` pairs each field's name with its shape (JSON writer, value
+    test), in JSON order; the fields named in ``ranks`` must be at least 2,
+    else ``rank_error``. ``ring`` builds a preset's intersection ring; it looks
     the builder up when called, so a replaced module attribute is seen. A
     surface kind also has the workspace ``base`` kind it sits over, that
     base's parameter field ``param`` (``positive`` when it must be), the

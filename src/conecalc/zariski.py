@@ -11,16 +11,16 @@ objects: `verify` re-derives every claim from the two bundles alone, and
 `decompose` refuses to return a certificate its own verifier rejects.
 """
 
-from fractions import Fraction
-
 from . import bundles as bn
 from .bundles import HNCurveBundle
 from .catalog import nef_fibre_product, psef_fibre_product
 from .cones import inequality_text, primitive
 from .errors import InputError, InternalError
-from .rationals import format_rational, parse_bool, parse_coords, parse_rational, parse_records
+from .rationals import (
+    as_fraction, format_rational, parse_bool, parse_coords, parse_rational, parse_records
+)
 from .record import Record
-from .ring import NumClass, build_fibre_product_ring
+from .ring import NumClass, SpacePreset
 
 BOTH_SEMISTABLE = "both_semistable"
 ONE_CORANK_ONE = "one_corank_one"
@@ -28,6 +28,14 @@ BOTH_CORANK_ONE = "both_corank_one"
 TERMINAL_CASES = (BOTH_SEMISTABLE, ONE_CORANK_ONE, BOTH_CORANK_ONE)
 
 _IDENTITY_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _divisor(coords):
+    """The class a*xi + b*zeta + c*F; (xi, zeta, F) is the degree-1 basis at any ranks."""
+    if len(coords) != 3:
+        raise InputError(f"expected 3 coordinates for degree 1, got {len(coords)}")
+    poly = {m: as_fraction(c) for m, c in zip(_IDENTITY_BASIS, coords) if c}
+    return NumClass(("xi", "zeta", "F"), 1, poly)
 
 
 def _coords(cls):
@@ -38,9 +46,7 @@ def _coords(cls):
             raise InputError("expected a divisor class on the fibre product")
         return cls.coordinates(_IDENTITY_BASIS)
     try:
-        coords = tuple(
-            parse_rational(x) if isinstance(x, str) else Fraction(x) for x in cls
-        )
+        coords = tuple(parse_rational(x) if isinstance(x, str) else as_fraction(x) for x in cls)
     except (TypeError, ValueError, OverflowError):
         coords = ()
     if len(coords) != 3:
@@ -109,9 +115,8 @@ class ReductionStep(Record):
                 "reduction step needs quotient rank at most rank - 2; "
                 "corank-one shapes are terminal"
             )
-        super().__init__(
-            factor, from_bundle, to_bundle, blowup_center_rank, Fraction(exceptional_multiplicity)
-        )
+        mult = as_fraction(exceptional_multiplicity)
+        super().__init__(factor, from_bundle, to_bundle, blowup_center_rank, mult)
 
     def to_json(self):
         return {
@@ -150,12 +155,12 @@ class ZariskiCertificate(Record):
     __slots__ = ("input_coords", "steps", "terminal_case", "P", "N", "verified")
 
     def __init__(self, input_coords, steps, terminal_case, P, N, verified):
-        coords = tuple(Fraction(x) for x in input_coords)
+        coords = tuple(as_fraction(x) for x in input_coords)
         if len(coords) != 3:
             raise InputError("certificate input must be a coordinate triple")
         if terminal_case not in TERMINAL_CASES:
             raise InputError(f"unknown terminal case {terminal_case!r}")
-        N = tuple((gen, Fraction(coeff)) for gen, coeff in N)
+        N = tuple((gen, as_fraction(coeff)) for gen, coeff in N)
         super().__init__(coords, tuple(steps), terminal_case, P, N, verified)
 
     def to_json(self):
@@ -195,10 +200,9 @@ class ZariskiCertificate(Record):
             step = ReductionStep.from_json(step_obj, chain[idx])
             chain[0 if step.factor == "first" else 1] = step.to_bundle
             steps.append(step)
-        ring = build_fibre_product_ring(
-            chain[0].rank, chain[1].rank, chain[0].degree, chain[1].degree
-        )
-        P = ring.class_from_coordinates(1, p_coords)
+        # the terminal pair's preset checks both ranks; P and N need no ring
+        SpacePreset.fibre_product(chain[0].rank, chain[1].rank, chain[0].degree, chain[1].degree)
+        P = _divisor(p_coords)
         N = []
         for entry in n_objs:
             try:
@@ -206,7 +210,7 @@ class ZariskiCertificate(Record):
                 coeff = parse_rational(entry["coeff"])
             except (KeyError, TypeError):
                 raise InputError("malformed effective-part record") from None
-            N.append((ring.class_from_coordinates(1, gen_coords), coeff))
+            N.append((_divisor(gen_coords), coeff))
         return cls(input_coords, tuple(steps), terminal, P, tuple(N), verified)
 
 
@@ -262,21 +266,18 @@ def terminal_decompose(first, second, cls):
                 "class is not pseudoeffective: expansion coefficient of "
                 f"{label} is {format_rational(value)}"
             )
-    ring = build_fibre_product_ring(first.rank, second.rank, first.degree, second.degree)
-
-    def cls_at(coords):
-        return ring.class_from_coordinates(1, coords)
-
+    # the pair's preset checks both ranks; P and N need no ring
+    SpacePreset.fibre_product(first.rank, second.rank, first.degree, second.degree)
     N = []
     if not first.semistable:
         if a:
-            N.append((cls_at((1, 0, -mu1)), a))
+            N.append((_divisor((1, 0, -mu1)), a))
         a, c = 0, c + a * mu1
     if not second.semistable:
         if b:
-            N.append((cls_at((0, 1, -mu2)), b))
+            N.append((_divisor((0, 1, -mu2)), b))
         b, c = 0, c + b * mu2
-    return cls_at((a, b, c)), tuple(N)
+    return _divisor((a, b, c)), tuple(N)
 
 
 def decompose(first, second, cls, order="first_then_second"):

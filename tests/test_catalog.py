@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conecalc import bundles as bn
 from conecalc.bundles import HNCurveBundle
 from conecalc.catalog import (
+    _curve_cone,
     _nef_divisor_generators,
     fibre_product_cones,
     homogeneity_cones,
@@ -20,7 +22,7 @@ from conecalc.catalog import (
     psef_fibre_product,
     surface_cone_report,
 )
-from conecalc.cones import Pairing, RationalCone
+from conecalc.cones import Pairing, RationalCone, _dd_rays, _dual_basis
 from conecalc.errors import InputError
 from conecalc.ring import NumClass, SpacePreset, _pmul, build_lambda_ring_surface
 
@@ -263,6 +265,35 @@ def test_curve_cones_match_literal_formulas(first, second, tower):
     for report, (want, nef, _) in zip(reports, expected):
         assert report.to_json() == want
         assert report.nef.generators == report.psef.generators == nef.generators
+
+
+@st.composite
+def curve_factors(draw):
+    """1 to 5 bundles of rank at least 2 from a pool of at most three, so
+    that slopes repeat; ladders reach down to slope -6."""
+    pool = draw(st.lists(hn_bundles().filter(lambda b: b.rank >= 2), min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    curve_factors(),
+    st.sampled_from([bn.mu_min, bn.mu_max, bn.slope]),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=6, max_size=6),
+)
+def test_closed_form_facets_equal_the_computed_ones(bundles, mu, probe):
+    cone = _curve_cone(bundles, mu)
+    dim = cone.dim
+    # the cone as built from the literal rows xi_i - mu_i*F and F, facets computed
+    rows = [tuple(int(j == i) for j in range(dim - 1)) + (-mu(b),) for i, b in enumerate(bundles)]
+    computed = RationalCone(dim, rows + [(0,) * (dim - 1) + (1,)])
+    assert cone.generators == computed.generators
+    assert cone._facets == _dual_basis(cone.generators, dim) == computed._facets
+    facets, lineality = _dd_rays(list(cone.generators), dim)
+    assert (tuple(facets), lineality, cone._span_normals) == (cone._facets, [], ())
+    # so a rejection names the same first facet, with the same value
+    vector = probe[:dim]
+    assert cone.violated_constraint(vector) == computed.violated_constraint(vector)
 
 
 # --- surface base ----------------------------------------------------------

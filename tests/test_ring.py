@@ -119,6 +119,38 @@ def test_lambda_ring_requires_vanishing_c2_end():
         SpacePreset.surface_rho1(2, 1, 2, 0)
 
 
+@pytest.mark.parametrize(
+    "kind, fields, message",
+    [
+        ("no_such_kind", {"rank": 3}, "unknown kind 'no_such_kind'"),
+        (["x"], {}, r"unknown kind \['x'\]"),
+        ("proj_bundle_over_curve", {"rank": 1}, "bad degree None"),
+        ("proj_bundle_over_curve", {"rank": 1, "degree": 0}, "rank must be at least 2"),
+        ("proj_bundle_over_curve", {"rank": True, "degree": 0}, "bad rank True"),
+        ("proj_bundle_over_curve", {"rank": 2, "degree": 0, "L2": 3}, "bad L2 3"),
+        ("fibre_product_over_curve", {"rank": 2, "degree": 0, "rank2": 1, "degree2": 0},
+         "both ranks must be at least 2"),
+        ("proj_bundle_over_surface_rho1", {"rank": 2, "L2": 0, "e": 0, "c2": 0},
+         "L2 must be positive"),
+        ("proj_bundle_over_surface_rho1", {"rank": 2, "L2": 0.5, "e": 0, "c2": 0}, "bad L2 0.5"),
+        ("proj_bundle_over_ruled_surface", {"rank": 2, "mu": 0, "c1": [0, 1], "c2": 0},
+         r"bad c1 \[0, 1\]"),
+        ("proj_bundle_over_ruled_surface", {"rank": 2, "mu": 0, "c1": (0, 1.5), "c2": 0},
+         r"bad c1 \(0, 1.5\)"),
+    ],
+)
+def test_preset_constructor_checks_kind_and_fields(kind, fields, message):
+    # c2(End) = 0 is the classmethods' demand alone; tests/test_bundles.py::test_c2_end
+    # builds a preset that breaks it
+    with pytest.raises(InputError, match=f"^invalid preset: {message}"):
+        SpacePreset(kind, **fields)
+
+
+def test_ruled_preset_needs_two_c1_coordinates():
+    with pytest.raises(InputError, match=r"^invalid preset: bad c1 \(Fraction\(0, 1\), "):
+        SpacePreset.ruled_surface(2, 0, (0, 1, 2), 0)
+
+
 def _mul(a, b):
     out = {}
     for m1, c1 in a.items():

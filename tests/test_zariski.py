@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conecalc.bundles import HNCurveBundle
 from conecalc.catalog import nef_fibre_product, psef_fibre_product
 from conecalc.errors import InputError
-from conecalc.ring import build_curve_bundle_ring, build_fibre_product_ring
+from conecalc.ring import IntersectionRing, build_curve_bundle_ring, build_fibre_product_ring
 from conecalc.zariski import (
     ReductionStep,
     ZariskiCertificate,
@@ -268,6 +268,41 @@ def test_certificate_json_round_trip():
     back = ZariskiCertificate.from_json(cert.to_json(), a, b)
     assert back.to_json() == cert.to_json()
     assert verify(back, a, b).ok
+
+
+def test_certificates_build_no_ring(monkeypatch):
+    a = HNCurveBundle(4, 1, [(1, -2), (2, 0), (1, 3)])
+    b = HNCurveBundle(3, -1, [(1, -2), (2, 1)])
+    ring = build_fibre_product_ring(3, 2, 3, 1)
+
+    def refuse(*args):
+        raise AssertionError("an intersection ring was built")
+
+    monkeypatch.setattr(IntersectionRing, "__init__", refuse)
+    cert = decompose(a, b, (2, 3, 7))
+    assert cert.steps and cert.N, "the case needs a step and an effective part"
+    assert verify(cert, a, b)
+    back = ZariskiCertificate.from_json(cert.to_json(), a, b)
+    assert back == cert
+    # P and N are the classes the terminal pair's ring gives their coordinates
+    for cls in (cert.P, *(gen for gen, _ in cert.N)):
+        assert cls == ring.class_from_coordinates(1, coords(cls))
+    assert str(cert.P) == "3*zeta + 13*F"
+
+
+def test_certificate_reads_three_coordinates():
+    good = decompose(UN2, SS2, (1, 1, 0)).to_json()
+    bad_p = dict(good, P=["0", "1"])
+    bad_gen = dict(good, N=[dict(good["N"][0], gen=["1", "0", "-1", "0"])])
+    for payload, count in ((bad_p, 2), (bad_gen, 4)):
+        message = f"^expected 3 coordinates for degree 1, got {count}$"
+        with pytest.raises(InputError, match=message):
+            ZariskiCertificate.from_json(payload, UN2, SS2)
+    line = HNCurveBundle(1, 0)
+    with pytest.raises(InputError, match="^invalid preset: both ranks must be at least 2$"):
+        ZariskiCertificate.from_json(good, UN2, line)
+    with pytest.raises(InputError, match="^invalid preset: both ranks must be at least 2$"):
+        terminal_decompose(line, SS2, (1, 1, 0))
 
 
 @pytest.mark.parametrize("name", [None, ["x"]])
