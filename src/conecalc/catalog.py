@@ -187,16 +187,17 @@ def homogeneity_cones(preset, k):
     k2 = (r + 1) - k
     # layers[d]: reduced nonzero degree-d products keyed by their nondecreasing
     # divisor indices, so each multiset is built once; normal forms respect
-    # products, so reducing the prefix first gives the same class
+    # products, so reducing the prefix first gives the same class. Every
+    # product is homogeneous of degree below the dimension, so it goes to the
+    # rewriting directly.
     layers = [{(): NumClass(ring.gens, 0, {(0,) * len(ring.gens): Fraction(1)})}]
     for degree in range(1, max(k, k2) + 1):
         layer = {}
         for key, prev in layers[-1].items():
             for i in range(key[-1] if key else 0, len(divisors)):
-                product = NumClass(ring.gens, degree, _pmul(prev.coeffs, divisors[i]))
-                cls = ring.normal_form(product)
-                if not cls.is_zero:
-                    layer[key + (i,)] = cls
+                coeffs = ring._reduce(_pmul(prev.coeffs, divisors[i]))
+                if coeffs:
+                    layer[key + (i,)] = NumClass(ring.gens, degree, coeffs)
         layers.append(layer)
 
     def product_cone(degree):

@@ -78,15 +78,11 @@ class NumClass(Record):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0], reverse=True)
 
     def coordinates(self, basis):
-        vec = []
-        seen = set(self.coeffs)
-        for mono in basis:
-            vec.append(self.coeffs.get(mono, Fraction(0)))
-            seen.discard(mono)
-        if seen:
-            extra = ", ".join(format_monomial(self.gens, m) for m in sorted(seen))
+        extra = set(self.coeffs).difference(basis)
+        if extra:
+            extra = ", ".join(format_monomial(self.gens, m) for m in sorted(extra))
             raise InternalError(f"class has terms outside the basis: {extra}")
-        return tuple(vec)
+        return tuple(self.coeffs.get(mono, _ZERO) for mono in basis)
 
     def to_json(self):
         return {
@@ -118,6 +114,10 @@ class NumClass(Record):
         return text.replace("+ -", "- ")
 
 
+# shared by every absent coefficient; a Fraction is immutable
+_ZERO = Fraction(0)
+
+
 def _clean(poly):
     return {m: c for m, c in poly.items() if c != 0}
 
@@ -126,8 +126,8 @@ def _pmul(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            mono = tuple(x + y for x, y in zip(m1, m2))
-            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+            mono = tuple(map(add, m1, m2))
+            out[mono] = out.get(mono, _ZERO) + c1 * c2
     return _clean(out)
 
 
@@ -156,6 +156,8 @@ class IntersectionRing:
             raise InternalError("top monomial degree differs from the dimension")
         if self._matching_rules(self.top_monomial):
             raise InternalError("top monomial is reducible")
+        if any(key[0][1] == 1 for key in self._rule_keys if len(key) == 1):
+            raise InternalError("a generator is reducible")
         self._basis_cache = {}
 
     def monomial_degree(self, mono):
@@ -170,10 +172,9 @@ class IntersectionRing:
         """Rewrite until irreducible. ``pick(mono, rule_indices)`` overrides
         the deterministic first-listed-rule choice; used to test confluence.
 
-        ``normal_form`` is the only caller, and it hands over homogeneous
-        polynomials of degree at most ``dim`` alone: a class above the
-        dimension is zero without rewriting. The pop guard is an internal
-        assertion that no input reaches.
+        Callers hand over homogeneous polynomials of degree at most ``dim``
+        alone: a class above the dimension is zero without rewriting. The
+        pop guard is an internal assertion that no input reaches.
         """
         result = {}
         stack = [(m, c) for m, c in poly.items() if c != 0]
@@ -185,7 +186,7 @@ class IntersectionRing:
             mono, coeff = stack.pop()
             hits = self._matching_rules(mono)
             if not hits:
-                result[mono] = result.get(mono, Fraction(0)) + coeff
+                result[mono] = result.get(mono, _ZERO) + coeff
                 continue
             index = hits[0] if pick is None else pick(mono, hits)
             lhs, rhs = self.rules[index]
@@ -200,34 +201,38 @@ class IntersectionRing:
         ``expr`` is a NumClass of this ring or an expression string; any
         other input is an InputError. It must be homogeneous as written
         (rules preserve degree, so distinct degrees could never recombine); a
-        mixed input raises. A class's degree counts as one of its degrees, so
-        a class keeps it, zero classes included, and a class whose terms have
-        another degree is mixed. For a string, the degrees of its part above
-        the dimension count as the parser recorded them (see
-        ``parse_expression``), and a zero string has degree 0. A homogeneous
-        input of degree above ``dim`` is the zero class of that degree, found
-        without rewriting.
+        mixed input raises. The degrees written are the ones that count: a
+        class's own degree and those of its terms, so a zero class keeps its
+        degree; a string's terms as written, before anything cancels (see
+        ``parse_expression``), and the literal zero has degree 0. A
+        homogeneous input of degree above ``dim`` is the zero class of that
+        degree, found without rewriting.
         """
-        if isinstance(expr, NumClass):
-            if expr.gens != self.gens:
-                raise InputError("class belongs to a ring with different generators")
-            poly, stated = expr.coeffs, (expr.degree,)
-        elif isinstance(expr, str):
-            poly = parse_expression(self, expr)
-            stated = poly.above or ()
-        else:
+        if isinstance(expr, str):
+            parsed = parse_expression(self, expr)
+            low, high = parsed.degrees
+            if low != high:
+                raise _mixed((low, high))
+            return NumClass(self.gens, low, dict(parsed))
+        if not isinstance(expr, NumClass):
             raise InputError(f"cannot interpret {type(expr).__name__} as a ring element")
-        degrees = {self.monomial_degree(m) for m in poly}
-        degrees.update(stated)
+        if expr.gens != self.gens:
+            raise InputError("class belongs to a ring with different generators")
+        width = len(self.gens)
+        degrees = {expr.degree}
+        for mono, coeff in expr.coeffs.items():
+            if type(coeff) is not Fraction or not coeff:
+                raise InputError(f"class coefficient {coeff!r} is not a nonzero Fraction")
+            if type(mono) is not tuple or len(mono) != width or any(
+                type(e) is not int or e < 0 for e in mono
+            ):
+                raise InputError(f"class monomial {mono!r} is not {width} int exponents >= 0")
+            degrees.add(self.monomial_degree(mono))
         if len(degrees) > 1:
-            raise InputError(
-                "degree mismatch: expression mixes degrees "
-                + ", ".join(str(d) for d in sorted(degrees))
-            )
-        degree = degrees.pop() if degrees else 0
-        if degree > self.dim:
-            return NumClass(self.gens, degree, {})
-        return NumClass(self.gens, degree, self._reduce(poly, pick=_pick))
+            raise _mixed(sorted(degrees))
+        if expr.degree > self.dim:
+            return NumClass(self.gens, expr.degree, {})
+        return NumClass(self.gens, expr.degree, self._reduce(expr.coeffs, pick=_pick))
 
     def degree_eval(self, expr):
         """Evaluate a top-degree class or expression string against the
@@ -310,18 +315,18 @@ class IntersectionRing:
 # ---------------------------------------------------------------------------
 # expression parsing
 #
-# The parser computes with graded values (parts, above). ``parts`` maps each
-# degree up to the ring dimension to its exact homogeneous part, a nonempty
-# {monomial: coeff} dict. ``above`` is the (lowest, highest) degree of the
-# part past the dimension, or None when there is none. Every class of degree
-# above the dimension is zero, so that part is never expanded: products drop
-# each monomial pair whose degree passes the ceiling and keep only its degree,
-# which is all normal_form needs to tell a homogeneous input from a mixed one.
+# The parser computes with values (low, high, part): the lowest and highest
+# degree of the terms as written, and, when the value is homogeneous of
+# degree at most the ring dimension (low == high <= dim), its homogeneous
+# part in normal form; otherwise part is None. The literal zero is None, for
+# it has every degree. Normal form respects products, so each product is
+# reduced as soon as it is built and every part stays within the basis of its
+# degree. A value that is mixed, or lies above the dimension where every class
+# is zero, needs no part at all, so it is never expanded.
 
 # Parser limits; an input past one is an InputError. Coefficients stay short
 # enough to print: Python 3.11 and later refuse to turn an int of more than
-# 4300 digits (about 14 000 bits) into text, and reduction still multiplies
-# by the ring's own coefficients.
+# 4300 digits (about 14 000 bits) into text.
 MAX_EXPRESSION_CHARS = 10_000
 MAX_EXPONENT_DIGITS = 100
 MAX_NESTING = 100
@@ -331,16 +336,23 @@ MAX_PRODUCT_PAIRS = 20_000
 _DIGITS = "0123456789"
 
 
-class CeilingPoly(dict):
-    """Polynomial parsed under a ring's degree ceiling: the exact monomials of
-    degree at most ``dim``, and in ``above`` the (lowest, highest) degree of
-    the part past it, or None when there is none."""
+class ParsedPoly(dict):
+    """A parsed expression: in ``degrees`` the lowest and highest degree of
+    its terms as written, and as a dict its homogeneous part in normal form,
+    which is empty unless the two degrees agree and are at most the ring
+    dimension."""
 
-    __slots__ = ("above",)
+    __slots__ = ("degrees",)
 
-    def __init__(self, above):
-        super().__init__()
-        self.above = above
+    def __init__(self, part, degrees):
+        super().__init__(part)
+        self.degrees = degrees
+
+
+def _mixed(degrees):
+    return InputError(
+        "degree mismatch: expression mixes degrees " + ", ".join(str(d) for d in degrees)
+    )
 
 
 def _coefficient_too_large():
@@ -349,111 +361,6 @@ def _coefficient_too_large():
 
 def _bits(coeff):
     return max(coeff.numerator.bit_length(), coeff.denominator.bit_length())
-
-
-def _settled(parts, above):
-    """A graded value, checked and trimmed. A part above the dimension that
-    spans two degrees keeps the value mixed through every later sum, product
-    and power, save a product with zero or a zeroth power, which read no
-    parts; so its parts are dropped."""
-    if above is not None and above[0] < above[1]:
-        return {}, above
-    if any(_bits(c) > MAX_COEFFICIENT_BITS for part in parts.values() for c in part.values()):
-        raise _coefficient_too_large()
-    return parts, above
-
-
-def _degrees(value):
-    """Degrees present in a graded value, the ends of its part above the
-    dimension included; empty for zero."""
-    parts, above = value
-    return list(parts) + list(above or ())
-
-
-def _graded_sum(a, b):
-    parts = dict(a[0])
-    for d, part in b[0].items():
-        total = dict(parts.get(d, ()))
-        for mono, coeff in part.items():
-            total[mono] = total.get(mono, Fraction(0)) + coeff
-        total = _clean(total)
-        if total:
-            parts[d] = total
-        else:
-            parts.pop(d, None)
-    if a[1] is None or b[1] is None:
-        above = a[1] or b[1]
-    else:
-        above = (min(a[1][0], b[1][0]), max(a[1][1], b[1][1]))
-    return _settled(parts, above)
-
-
-def _graded_negate(value):
-    parts, above = value
-    return {d: {m: -c for m, c in part.items()} for d, part in parts.items()}, above
-
-
-class _Ceiling:
-    """Products and powers of graded values under one ring's dimension.
-
-    One instance serves one expression: ``pairs`` counts the monomial pairs
-    it has multiplied, and past ``MAX_PRODUCT_PAIRS`` the expression is
-    refused, so the work of a parse stays bounded whatever the ring size.
-    """
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.pairs = 0
-
-    def product(self, a, b):
-        """Pairs of degree above the dimension only widen ``above``."""
-        dim = self.dim
-        jobs = [
-            (d1 + d2, p1, p2)
-            for d1, p1 in a[0].items()
-            for d2, p2 in b[0].items()
-            if d1 + d2 <= dim
-        ]
-        self.pairs += sum(len(p1) * len(p2) for _, p1, p2 in jobs)
-        if self.pairs > MAX_PRODUCT_PAIRS:
-            raise InputError(
-                f"expression needs more than {MAX_PRODUCT_PAIRS} monomial products "
-                "below the ring dimension"
-            )
-        parts = {}
-        for d, p1, p2 in jobs:
-            out = parts.setdefault(d, {})
-            for m1, c1 in p1.items():
-                for m2, c2 in p2.items():
-                    mono = tuple(map(add, m1, m2))
-                    out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        parts = {d: part for d, part in ((d, _clean(p)) for d, p in parts.items()) if part}
-        # the lowest and highest degree of a product are sums of the factors'
-        # (polynomials over a field have no zero divisors), and an end of a
-        # factor's part above dim can only pair past dim
-        passing = [x + y for x in _degrees(a) for y in _degrees(b) if x + y > dim]
-        return _settled(parts, (min(passing), max(passing)) if passing else None)
-
-    def power(self, value, n):
-        """``value ** n`` for n >= 1, by repeated squaring; all above the
-        dimension at once when even the lowest degree passes it."""
-        degrees = _degrees(value)
-        if degrees and n * min(degrees) > self.dim:
-            return {}, (n * min(degrees), n * max(degrees))
-        if degrees == [0]:
-            # a constant: one Fraction power, whose size is known beforehand
-            ((mono, coeff),) = value[0][0].items()
-            if n * (_bits(coeff) - 1) >= MAX_COEFFICIENT_BITS:
-                raise _coefficient_too_large()
-            return _settled({0: {mono: coeff**n}}, None)
-        result = None
-        while True:
-            if n & 1:
-                result = value if result is None else self.product(result, value)
-            n >>= 1
-            if not n:
-                return result
-            value = self.product(value, value)
 
 
 def _tokenize(text):
@@ -488,7 +395,7 @@ def _tokenize(text):
 
 
 def parse_expression(ring, text):
-    """Parse '2*xi^3*zeta - 1/2*F' style input under the ring's degree ceiling.
+    """Parse '2*xi^3*zeta - 1/2*F' style input into a ``ParsedPoly``.
 
     Grammar: sums and differences of terms; a term is '*'-joined factors;
     a factor is a rational literal, a generator, or a parenthesized
@@ -496,14 +403,12 @@ def parse_expression(ring, text):
     are ASCII digits; an exponent has at most ``MAX_EXPONENT_DIGITS``
     digits and parentheses nest at most ``MAX_NESTING`` deep.
 
-    Returns a ``CeilingPoly``: the monomials of degree at most ``ring.dim``,
-    exact, and in ``above`` the (lowest, highest) degree of the part past
-    ``ring.dim``, which is zero in the ring and is not expanded. Products
-    and powers never build a monomial above the dimension: ``a^n`` squares
-    repeatedly, and lies above the dimension at once when n times the lowest
-    degree of ``a`` does. Only a part above the dimension that cancels in the
-    full expansion (``xi^9 - xi^9`` on a ring of dimension below 9) goes
-    unseen: its degrees stay in ``above``.
+    Degrees are those written: a sum spans the degrees of its terms even
+    where they cancel (``1 + xi^9 - 1`` mixes degrees 0 and 9, ``xi - xi``
+    has degree 1), and ``a^n`` spans n times those of ``a``, found at once
+    when ``a`` is mixed or ``a^n`` lies above the dimension. Products reduce
+    to normal form as they are built; past ``MAX_PRODUCT_PAIRS`` monomial
+    pairs multiplied in one expression, it is refused.
     """
     if len(text) > MAX_EXPRESSION_CHARS:
         raise InputError(
@@ -512,10 +417,74 @@ def parse_expression(ring, text):
     tokens = _tokenize(text)
     pos = 0
     depth = 0
+    pairs = 0
     dim = ring.dim
     width = len(ring.gens)
-    ceiling = _Ceiling(dim)
-    one = ({0: {(0,) * width: Fraction(1)}}, None)
+    one = (0, 0, {(0,) * width: Fraction(1)})
+
+    def checked(low, high, part):
+        if any(_bits(c) > MAX_COEFFICIENT_BITS for c in part.values()):
+            raise _coefficient_too_large()
+        return low, high, part
+
+    def negated(a):
+        if a is None or a[2] is None:
+            return a
+        return a[0], a[1], {m: -c for m, c in a[2].items()}
+
+    def plus(a, b):
+        if a is None or b is None:
+            return b if a is None else a
+        low, high = min(a[0], b[0]), max(a[1], b[1])
+        if low != high or low > dim:
+            return low, high, None
+        part = dict(a[2])
+        for mono, coeff in b[2].items():
+            part[mono] = part.get(mono, _ZERO) + coeff
+        return checked(low, high, _clean(part))
+
+    def times(a, b):
+        nonlocal pairs
+        if a is None or b is None:
+            return None
+        low, high = a[0] + b[0], a[1] + b[1]
+        if low != high or low > dim:
+            return low, high, None
+        pairs += len(a[2]) * len(b[2])
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise InputError(
+                f"expression needs more than {MAX_PRODUCT_PAIRS} monomial products "
+                "below the ring dimension"
+            )
+        part = _pmul(a[2], b[2])
+        # a constant times a normal form is one
+        return checked(low, high, part if not a[0] or not b[0] else ring._reduce(part))
+
+    def power(a, n):
+        if n == 0:
+            return one
+        if a is None:
+            return None
+        low, high = n * a[0], n * a[1]
+        if low != high or low > dim:
+            return low, high, None
+        if not a[2]:
+            return low, high, {}
+        if low == 0:
+            # a constant: one Fraction power, whose size is known beforehand
+            ((mono, coeff),) = a[2].items()
+            if n * (_bits(coeff) - 1) >= MAX_COEFFICIENT_BITS:
+                raise _coefficient_too_large()
+            return 0, 0, {mono: coeff**n}
+        # n <= dim here: square and multiply
+        result = None
+        while True:
+            if n & 1:
+                result = a if result is None else times(result, a)
+            n >>= 1
+            if not n:
+                return result
+            a = times(a, a)
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -530,17 +499,17 @@ def parse_expression(ring, text):
         negate = peek() in ("+", "-") and take() == "-"
         total = parse_term()
         if negate:
-            total = _graded_negate(total)
+            total = negated(total)
         while peek() in ("+", "-"):
-            term = _graded_negate(parse_term()) if take() == "-" else parse_term()
-            total = _graded_sum(total, term)
+            term = negated(parse_term()) if take() == "-" else parse_term()
+            total = plus(total, term)
         return total
 
     def parse_term():
         value = parse_factor()
         while peek() == "*":
             take()
-            value = ceiling.product(value, parse_factor())
+            value = times(value, parse_factor())
         return value
 
     def parse_factor():
@@ -556,8 +525,7 @@ def parse_expression(ring, text):
                 f"exponent {tok[:20]}... has {len(tok)} digits; "
                 f"at most {MAX_EXPONENT_DIGITS} are allowed"
             )
-        n = int(tok)
-        return one if n == 0 else ceiling.power(base, n)
+        return power(base, int(tok))
 
     def parse_atom():
         nonlocal depth
@@ -575,21 +543,21 @@ def parse_expression(ring, text):
             return inner
         if tok[0] in _DIGITS:
             coeff = parse_rational(tok)
-            return _settled({0: {(0,) * width: coeff}} if coeff else {}, None)
+            return checked(0, 0, {(0,) * width: coeff}) if coeff else None
         if tok in ring.gens:
             i = ring.gens.index(tok)
-            mono = tuple(int(j == i) for j in range(width))
             d = ring.gen_degrees[i]
-            return ({d: {mono: Fraction(1)}}, None) if d <= dim else ({}, (d, d))
+            mono = tuple(int(j == i) for j in range(width))
+            return d, d, {mono: Fraction(1)} if d <= dim else None
         raise InputError(f"unknown generator {tok!r}; ring has {', '.join(ring.gens)}")
 
-    parts, above = parse_sum()
+    value = parse_sum()
     if pos != len(tokens):
         raise InputError(f"unexpected token {tokens[pos]!r}")
-    poly = CeilingPoly(above)
-    for part in parts.values():
-        poly.update(part)
-    return poly
+    if value is None:
+        return ParsedPoly({}, (0, 0))
+    low, high, part = value
+    return ParsedPoly(part or {}, (low, high))
 
 
 # ---------------------------------------------------------------------------

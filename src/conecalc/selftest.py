@@ -140,8 +140,8 @@ def check_intersection_products(rng):
                         ({(m + 1, 0, 0): one}, {}, m + 1),
                         ({(0, n + 1, 0): one}, {}, n + 1),
                         ({(0, 0, 2): one}, {}, 2),
-                        ({(0, n, 0): one}, {(0, n - 1, 1): Fraction(d2)}, n),
-                        ({(m, 0, 0): one}, {(m - 1, 0, 1): Fraction(d)}, m),
+                        ({(0, n, 0): one}, {(0, n - 1, 1): Fraction(d2)} if d2 else {}, n),
+                        ({(m, 0, 0): one}, {(m - 1, 0, 1): Fraction(d)} if d else {}, m),
                     )
                     for lhs, rhs, deg in identities:
                         total += 1

@@ -449,6 +449,15 @@ def _rank400_workspace(tmp_path):
     return ws_file(tmp_path, workspace, "rank400.json")
 
 
+def _rank24_fibre_workspace(tmp_path):
+    workspace = copy.deepcopy(FIBRE_WS)
+    workspace["bundles"] = [
+        {"name": "E", "rank": 24, "degree": 1},
+        {"name": "E2", "rank": 24, "degree": 2},
+    ]
+    return ws_file(tmp_path, workspace, "fibre24.json")
+
+
 @pytest.mark.parametrize(
     "workspace, argv, want",
     [
@@ -456,14 +465,14 @@ def _rank400_workspace(tmp_path):
         ("fibre.json", ["ring", "eval", "(xi+2*zeta)^1000"], 0),
         ("rho1.json", ["ring", "eval", "(lambda+piL)^5000"], 0),
         (None, ["cone", "nef", "--k", "1"], 2),
+        ("fibre24", ["ring", "eval", "(xi+zeta+F)^47"], 0),
     ],
 )
 def test_unbounded_inputs_of_the_past_answer_fast(tmp_path, capsys, workspace, argv, want):
-    """Each once took seconds to minutes; each answers zero or is refused."""
-    if workspace is None:
-        path = _rank400_workspace(tmp_path)
-    else:
-        path = os.path.join(WORKSPACES, workspace)
+    """Each once took seconds to minutes, or was refused though valid; each
+    answers or is refused at once."""
+    built = {None: _rank400_workspace, "fibre24": _rank24_fibre_workspace}.get(workspace)
+    path = built(tmp_path) if built else os.path.join(WORKSPACES, workspace)
     times = []
     for _ in range(3):
         start = time.perf_counter()

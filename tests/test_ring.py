@@ -6,7 +6,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecalc import ring as ring_module
@@ -253,6 +253,30 @@ def test_ring_queries_take_only_a_class_or_text(expr):
         ring.degree_eval(expr)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {(1, 0, 0): 0.1},
+        {(1, 0, 0): 1},
+        {(1, 0, 0): Fraction(0)},
+        {(1, 0): Fraction(1)},
+        {(1.0, 0, 0): Fraction(1)},
+        {(True, 0, 0): Fraction(1)},
+        {(-1, 2, 0): Fraction(1)},
+        {"xi": Fraction(1)},
+    ],
+    ids=repr,
+)
+def test_a_class_is_checked_where_it_enters(coeffs):
+    # a float coefficient must not become a binary fraction, nor a short or
+    # negative exponent tuple a monomial of another degree
+    ring = build_fibre_product_ring(2, 2, 0, 1)
+    with pytest.raises(InputError, match="^class (coefficient|monomial) "):
+        ring.normal_form(NumClass(ring.gens, 1, coeffs))
+    with pytest.raises(InputError, match="^class (coefficient|monomial) "):
+        ring.degree_eval(NumClass(ring.gens, 1, coeffs))
+
+
 def test_confluence_random_rule_choice():
     rng = random.Random(11)
     rings = [
@@ -456,58 +480,59 @@ def _render(tree):
     return f"({_render(tree[1])} {tree[0]} {_render(tree[2])})"
 
 
-def _nominal_degree(ring, tree):
+def _written_degrees(ring, tree):
+    """The lowest and highest degree of the terms as written, or None for
+    the literal zero, which has every degree."""
     if isinstance(tree, str):
-        return ring.gen_degrees[ring.gens.index(tree)] if tree in ring.gens else 0
+        if tree in ring.gens:
+            d = ring.gen_degrees[ring.gens.index(tree)]
+            return d, d
+        return None if tree == "0" else (0, 0)
     if tree[0] == "neg":
-        return _nominal_degree(ring, tree[1])
+        return _written_degrees(ring, tree[1])
     if tree[0] == "^":
-        return _nominal_degree(ring, tree[1]) * tree[2]
-    left, right = _nominal_degree(ring, tree[1]), _nominal_degree(ring, tree[2])
-    return left + right if tree[0] == "*" else max(left, right)
+        if tree[2] == 0:
+            return 0, 0
+        inner = _written_degrees(ring, tree[1])
+        return inner and (inner[0] * tree[2], inner[1] * tree[2])
+    left, right = (_written_degrees(ring, t) for t in tree[1:])
+    if tree[0] == "*":
+        return left and right and (left[0] + right[0], left[1] + right[1])
+    if left is None or right is None:
+        return left or right
+    return min(left[0], right[0]), max(left[1], right[1])
 
 
 def _full_expansion(ring, tree):
-    """The free-ring expansion, and whether a component above the dimension
-    cancelled on the way (in a sum, or between the terms of a product)."""
+    """The free-ring expansion, nothing rewritten. Monomials above the
+    dimension are dropped as they appear: they are zero in the ring, and
+    dropping them commutes with sums and products, since degrees only grow."""
     width = len(ring.gens)
 
-    def above(poly):
-        return {ring.monomial_degree(m) for m in poly} - set(range(ring.dim + 1))
-
     def times(a, b):
-        out = _mul(a, b)
-        want = {
-            ring.monomial_degree(m1) + ring.monomial_degree(m2) for m1 in a for m2 in b
-        } - set(range(ring.dim + 1))
-        return out, want != above(out)
+        return {m: c for m, c in _mul(a, b).items() if ring.monomial_degree(m) <= ring.dim}
 
     if isinstance(tree, str):
         if tree in ring.gens:
-            return {tuple(int(g == tree) for g in ring.gens): Fraction(1)}, False
+            return {tuple(int(g == tree) for g in ring.gens): Fraction(1)}
         value = Fraction(tree)
-        return ({(0,) * width: value} if value else {}), False
+        return {(0,) * width: value} if value else {}
     if tree[0] == "neg":
-        poly, lost = _full_expansion(ring, tree[1])
-        return {m: -c for m, c in poly.items()}, lost
+        return {m: -c for m, c in _full_expansion(ring, tree[1]).items()}
     if tree[0] == "^":
-        base, lost = _full_expansion(ring, tree[1])
+        base = _full_expansion(ring, tree[1])
         poly = {(0,) * width: Fraction(1)}
         for _ in range(tree[2]):
-            poly, cancelled = times(poly, base)
-            lost = lost or cancelled
-        return poly, lost
-    (a, lost_a), (b, lost_b) = (_full_expansion(ring, t) for t in tree[1:])
+            poly = times(poly, base)
+        return poly
+    a, b = (_full_expansion(ring, t) for t in tree[1:])
     if tree[0] == "*":
-        poly, cancelled = times(a, b)
-    else:
-        sign = 1 if tree[0] == "+" else -1
-        poly = dict(a)
-        for m, c in b.items():
-            poly[m] = poly.get(m, Fraction(0)) + sign * c
-        poly = {m: c for m, c in poly.items() if c}
-        cancelled = (above(a) | above(b)) != above(poly)
-    return poly, lost_a or lost_b or cancelled
+        return times(a, b)
+    sign = 1 if tree[0] == "+" else -1
+    poly = dict(a)
+    for m, c in b.items():
+        poly[m] = poly.get(m, Fraction(0)) + sign * c
+    return {m: c for m, c in poly.items() if c}
 
 
 REDUCE = IntersectionRing._reduce
@@ -521,24 +546,22 @@ def _reduce_below_dimension(self, poly, pick=None):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_ceiling_parser_matches_full_expansion(data):
-    """Parsing under the degree ceiling gives what the full expansion gives."""
+    """Reducing each product as it is built gives what one reduction of the
+    full expansion gives, and an input is mixed exactly when the degrees of
+    its terms as written are."""
     ring = data.draw(st.sampled_from(CEILING_RINGS))
     tree = data.draw(_expression_trees(ring))
-    assume(_nominal_degree(ring, tree) <= 3 * (ring.dim + 3))
-    poly, cancelled = _full_expansion(ring, tree)
-    # the one documented difference: a part above the dimension that cancels
-    # in the full expansion is not seen by the ceiling
-    assume(not cancelled)
-    degrees = {ring.monomial_degree(m) for m in poly}
+    low, high = _written_degrees(ring, tree) or (0, 0)
     text = _render(tree)
     with mock.patch.object(IntersectionRing, "_reduce", _reduce_below_dimension):
-        if len(degrees) > 1:
-            with pytest.raises(InputError, match="degree mismatch"):
+        if low != high:
+            with pytest.raises(InputError, match=f"mixes degrees {low}, {high}$"):
                 ring.normal_form(text)
             return
         got = ring.normal_form(text).to_json()
-    want = NumClass(ring.gens, degrees.pop() if degrees else 0, REDUCE(ring, poly))
-    assert got == want.to_json(), text
+    # the reference reduces once, at the end
+    want = REDUCE(ring, _full_expansion(ring, tree)) if low <= ring.dim else {}
+    assert got == NumClass(ring.gens, low, want).to_json(), text
 
 
 def test_ceiling_edge_cases():
@@ -546,10 +569,12 @@ def test_ceiling_edge_cases():
     one = {"degree": 0, "terms": [{"monomial": "1", "coeff": "1"}]}
     assert ring.normal_form("(xi^9)^0").to_json() == one
     assert ring.normal_form("((1 + xi)^10)^0").to_json() == one
+    # the literal zero has every degree
+    assert ring.normal_form("0").to_json() == {"degree": 0, "terms": []}
     assert ring.normal_form("0*xi^9").to_json() == {"degree": 0, "terms": []}
     assert ring.normal_form("0*(1 + xi)^10").to_json() == {"degree": 0, "terms": []}
+    assert ring.normal_form("0 + xi").to_json() == ring.normal_form("xi").to_json()
     assert ring.normal_form("xi^9").to_json() == {"degree": 9, "terms": []}
-    assert ring.normal_form("1 + xi^9 - 1").to_json() == {"degree": 9, "terms": []}
     assert ring.normal_form("xi^3000000").to_json() == {"degree": 3000000, "terms": []}
     assert ring.degree_eval("(xi + 2*zeta)^1000") == 0
     # a homogeneous class above the dimension is zero without rewriting
@@ -557,13 +582,19 @@ def test_ceiling_edge_cases():
         above = NumClass(ring.gens, 9, {(5, 4, 0): Fraction(3)})
         assert ring.normal_form(above).to_json() == {"degree": 9, "terms": []}
         assert ring.normal_form(NumClass(ring.gens, 8, {(8, 0, 0): Fraction(1)})).is_zero
-    # the documented difference: the full expansion cancels xi^9, the ceiling
-    # only records its degree
+    # degrees are those written, whether the terms cancel or not
+    assert ring.normal_form("xi - xi").to_json() == {"degree": 1, "terms": []}
     assert ring.normal_form("xi^9 - xi^9").to_json() == {"degree": 9, "terms": []}
-    with pytest.raises(InputError, match="mixes degrees 1, 9"):
-        ring.normal_form("xi + xi^9 - xi^9")
-    for text in ("(1 + xi)^10", "xi^7 + xi^8", "(xi + xi^2)^7"):
-        with pytest.raises(InputError, match="degree mismatch"):
+    assert ring.normal_form("(xi - xi)^3").to_json() == {"degree": 3, "terms": []}
+    for text, degrees in (
+        ("1 + xi^9 - 1", "degrees 0, 9"),
+        ("(1+xi)^2 - 1 - 2*xi", "degrees 0, 2"),
+        ("xi + xi^9 - xi^9", "degrees 1, 9"),
+        ("(1 + xi)^10", "degrees 0, 10"),
+        ("xi^7 + xi^8", "degrees 7, 8"),
+        ("(xi + xi^2)^7", "degrees 7, 14"),
+    ):
+        with pytest.raises(InputError, match=f"^degree mismatch: expression mixes {degrees}$"):
             ring.normal_form(text)
 
 
@@ -590,9 +621,12 @@ def test_parser_limits():
     for text in (f"2^{bits}", f"2^{10 ** 40}", f"{2 ** (bits - 1)}*xi*{2 ** (bits - 1)}"):
         with pytest.raises(InputError, match="coefficient"):
             ring.normal_form(text)
+    # parts stay within the basis of their degree, so one top-degree power
+    # on the largest fibre product answers, and a sum of eight reaches the cap
     big = build_fibre_product_ring(24, 24, 1, 2)
+    assert big.degree_eval("(xi + zeta + F)^47") == 435342649721850
     with pytest.raises(InputError, match="monomial products"):
-        big.normal_form("(1 + xi + zeta + F)^99")
+        big.normal_form(" + ".join(["(xi + zeta + F)^47"] * 8))
     # numbers are ASCII digits
     for text in ("xi^\u00b2", "\u0662*xi", "xi^\u0662"):
         with pytest.raises(InputError, match="unexpected character"):
