@@ -440,9 +440,9 @@ def test_normal_form_degree_preserved(m, n, d, d2, a, b, c):
         assert ring.monomial_degree(out) == deg
 
 
-# --- degree-ceiling parsing ----------------------------------------------
+# --- parsing: degrees as written, products reduced as they are built ------
 
-# one small ring of each kind: the reference below expands in full
+# one small ring of each kind: the reference below expands up to the dimension
 CEILING_RINGS = (
     build_curve_bundle_ring(3, -2),
     build_fibre_product_ring(2, 2, 1, -1),
