@@ -9,6 +9,7 @@ serves as the constructors' oracle.
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from . import bundles as bn
 from .cones import Pairing, RationalCone, primitive
@@ -208,13 +209,9 @@ def homogeneity_cones(preset, k):
     psef_complement = product_cone(k2)
     basis_k = ring.basis(k)
     basis_k2 = ring.basis(k2)
+    # two basis monomials of complementary degree: their product is reduced as it is
     matrix = [
-        [
-            ring.degree_eval(
-                NumClass(ring.gens, ring.dim, {tuple(a + b for a, b in zip(m2, m1)): Fraction(1)})
-            )
-            for m1 in basis_k
-        ]
+        [ring._top_coefficient(ring._reduce({tuple(map(add, m2, m1)): 1})) for m1 in basis_k]
         for m2 in basis_k2
     ]
     nef = psef_complement.dual(Pairing(matrix))

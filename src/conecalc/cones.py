@@ -37,7 +37,7 @@ def primitive(vector):
     if all(x == 0 for x in fracs):
         raise InputError("zero vector is not a ray")
     scale = lcm(*(x.denominator for x in fracs)) if fracs else 1
-    ints = [int(x * scale) for x in fracs]
+    ints = [x.numerator * (scale // x.denominator) for x in fracs]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 
@@ -207,10 +207,13 @@ class RationalCone:
         Returns (kind, normal, value) with kind 'facet' (needs >= 0) or
         'span' (needs = 0); the facet data makes rejections actionable.
         """
-        v = self._check_dim(vector)
-        # a positive scale keeps every sign, so the tests run on integers
-        scale = lcm(*(x.denominator for x in v))
-        w = [x.numerator * (scale // x.denominator) for x in v]
+        if len(vector) == self.dim and all(type(x) is int for x in vector):
+            scale, w = 1, vector
+        else:
+            v = self._check_dim(vector)
+            # a positive scale keeps every sign, so the tests run on integers
+            scale = lcm(*(x.denominator for x in v))
+            w = [x.numerator * (scale // x.denominator) for x in v]
         for normal in self._facets:
             value = _dot(normal, w)
             if value < 0:

@@ -8,9 +8,12 @@ an int is due, a JSON bool where a flag is due, a JSON list where
 coordinates or records are due, and nothing that merely converts to one.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
+
+_RATIONAL_TEXT = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?")
 
 
 def as_fraction(value):
@@ -24,10 +27,11 @@ def parse_rational(value):
     if isinstance(value, (int, Fraction)):
         return as_fraction(value)
     if isinstance(value, str):
+        # the wire format is a sign and ASCII digits, then '/' and ASCII
+        # digits; Fraction would also read decimals, exponents, underscores
+        # and other scripts' digits
         text = value.strip()
-        # the wire format is p/q; reject decimal or scientific notation even
-        # though Fraction would happily parse it
-        if "." in text or "e" in text.lower():
+        if not _RATIONAL_TEXT.fullmatch(text):
             raise InputError(f"malformed rational: {value!r}")
         try:
             return Fraction(text)

@@ -18,7 +18,7 @@ bases the base parameter, divisor names, Gram form and c1 coordinates.
 """
 
 from fractions import Fraction
-from operator import add
+from operator import add, ge, sub
 from types import SimpleNamespace
 
 from .errors import InputError, InternalError
@@ -144,10 +144,6 @@ class IntersectionRing:
             (tuple(lhs), {tuple(m): Fraction(c) for m, c in rhs.items() if c != 0})
             for lhs, rhs in rules
         )
-        # each left side's nonzero (position, exponent) pairs, in rule order
-        self._rule_keys = tuple(
-            tuple((p, e) for p, e in enumerate(lhs) if e) for lhs, _ in self.rules
-        )
         for lhs, rhs in self.rules:
             want = self.monomial_degree(lhs)
             if any(self.monomial_degree(m) != want for m in rhs):
@@ -156,7 +152,7 @@ class IntersectionRing:
             raise InternalError("top monomial degree differs from the dimension")
         if self._matching_rules(self.top_monomial):
             raise InternalError("top monomial is reducible")
-        if any(key[0][1] == 1 for key in self._rule_keys if len(key) == 1):
+        if any(sum(lhs) == 1 for lhs, _ in self.rules):
             raise InternalError("a generator is reducible")
         self._basis_cache = {}
 
@@ -164,9 +160,8 @@ class IntersectionRing:
         return sum(e * d for e, d in zip(mono, self.gen_degrees))
 
     def _matching_rules(self, mono):
-        return [
-            i for i, key in enumerate(self._rule_keys) if all(mono[p] >= e for p, e in key)
-        ]
+        # the exponent test on each dense left side runs in C
+        return [i for i, (lhs, _) in enumerate(self.rules) if all(map(ge, mono, lhs))]
 
     def _reduce(self, poly, pick=None):
         """Rewrite until irreducible. ``pick(mono, rule_indices)`` overrides
@@ -190,9 +185,9 @@ class IntersectionRing:
                 continue
             index = hits[0] if pick is None else pick(mono, hits)
             lhs, rhs = self.rules[index]
-            rest = tuple(e - l for e, l in zip(mono, lhs))
+            rest = tuple(map(sub, mono, lhs))
             for rmono, rcoeff in rhs.items():
-                stack.append((tuple(a + b for a, b in zip(rest, rmono)), coeff * rcoeff))
+                stack.append((tuple(map(add, rest, rmono)), coeff * rcoeff))
         return _clean(result)
 
     def normal_form(self, expr, _pick=None):
@@ -245,17 +240,18 @@ class IntersectionRing:
                 f"degree mismatch: degree {cls.degree} class in a "
                 f"{self.dim}-dimensional ring"
             )
-        value = Fraction(0)
-        for mono, coeff in cls.coeffs.items():
-            if mono == self.top_monomial:
-                value = coeff
-            else:
+        return self._top_coefficient(cls.coeffs)
+
+    def _top_coefficient(self, coeffs):
+        """The top monomial's coefficient in a reduced top-degree polynomial."""
+        for mono in coeffs:
+            if mono != self.top_monomial:
                 # every preset has a one-element top-degree basis
                 raise InternalError(
                     "irreducible top-degree monomial besides the top monomial: "
                     + format_monomial(self.gens, mono)
                 )
-        return value
+        return coeffs.get(self.top_monomial, _ZERO)
 
     def basis(self, k):
         """Irreducible monomials of degree k, descending lex. Frozen order:
@@ -264,16 +260,18 @@ class IntersectionRing:
             raise InputError(f"degree {k} out of range 0..{self.dim}")
         if k not in self._basis_cache:
             found = []
+            last = len(self.gens) - 1
 
             def walk(prefix, remaining):
                 idx = len(prefix)
-                if idx == len(self.gens):
-                    if remaining == 0:
-                        mono = tuple(prefix)
+                step = self.gen_degrees[idx]
+                if idx == last:
+                    # the last exponent is whatever degree is left, if it divides
+                    if remaining % step == 0:
+                        mono = tuple(prefix) + (remaining // step,)
                         if not self._matching_rules(mono):
                             found.append(mono)
                     return
-                step = self.gen_degrees[idx]
                 for e in range(remaining // step, -1, -1):
                     walk(prefix + [e], remaining - e * step)
 

@@ -418,6 +418,20 @@ def test_k_flag_reads_ascii_digits_only(tmp_path, capsys, k, code, start):
     assert got == code and out.startswith(start)
 
 
+@pytest.mark.parametrize("coords", ["\u0661,0,3", "1_0,0,3", "1,0,3/\u0664"])
+def test_member_reads_ascii_rationals_only(capsys, coords):
+    path = os.path.join(WORKSPACES, "fibre.json")
+    code, out = run(capsys, ["-w", path, "member", coords])
+    assert code == 2 and out.startswith("error: malformed rational")
+
+
+def test_workspace_rationals_are_ascii_only(tmp_path, capsys):
+    workspace = copy.deepcopy(RULED_WS)
+    workspace["base"]["mu"] = "1_0"
+    code, out = run(capsys, ["-w", ws_file(tmp_path, workspace), "cone", "nef"])
+    assert (code, out) == (2, "error: base.mu: malformed rational: '1_0'\n")
+
+
 def test_bundle_rank_cap_is_path_addressed(tmp_path, capsys):
     rank = cli.MAX_RANK
     workspace = copy.deepcopy(RHO1_WS)

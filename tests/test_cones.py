@@ -1,6 +1,7 @@
 """Exact polyhedral cones: membership, duality, extremal rays."""
 
 from fractions import Fraction
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -294,6 +295,72 @@ def test_primitive_agrees_across_input_types(ints):
         result = primitive(bools)
         assert result == primitive([int(b) for b in bools])
         assert all(type(x) is int for x in result)
+
+
+def _scaled_reference(fracs):
+    """primitive by the textbook route: scale by the lcm, truncate, divide."""
+    scale = lcm(*(x.denominator for x in fracs))
+    ints = [int(x * scale) for x in fracs]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+# mixed denominators and signs, never all zero
+mixed_fractions = st.lists(
+    st.fractions(min_value=-7, max_value=7, max_denominator=12), min_size=1, max_size=6
+).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_fractions)
+def test_primitive_of_fractions_matches_scaled_reference(fracs):
+    result = primitive(fracs)
+    assert result == _scaled_reference(fracs)
+    assert all(type(x) is int for x in result)
+
+
+def test_primitive_of_negative_mixed_denominators():
+    fracs = [Fraction(-1, 6), Fraction(-3, 4), Fraction(5, -9), Fraction(0)]
+    assert primitive(fracs) == _scaled_reference(fracs) == (-6, -27, -20, 0)
+
+
+# --- membership: an int probe answers as its Fraction and string forms do ---
+
+
+@st.composite
+def cones_with_int_probe(draw):
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-4, 4)] * dim).filter(any)
+    gens = draw(st.lists(vec, max_size=dim + 2))
+    probe = draw(st.one_of(st.just((0,) * dim), st.tuples(*[st.integers(-6, 6)] * dim)))
+    return RationalCone(dim, gens), probe
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones_with_int_probe())
+def test_int_probe_answers_as_fractions_and_strings(case):
+    cone, probe = case
+    found = cone.violated_constraint(probe)
+    assert found == cone.violated_constraint(tuple(Fraction(x) for x in probe))
+    assert found == cone.violated_constraint([str(x) for x in probe])
+    assert cone.contains(probe) is (found is None)
+    if found is not None:
+        assert type(found[2]) is Fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(cones_with_int_probe(), st.integers(-3, 3).filter(bool))
+def test_wrong_length_int_probe_raises_the_same_error(case, change):
+    cone, probe = case
+    wrong = probe[:change] if change < 0 else probe + (1,) * change
+    messages = set()
+    for form in (wrong, tuple(Fraction(x) for x in wrong), [str(x) for x in wrong]):
+        with pytest.raises(InputError) as err:
+            cone.violated_constraint(form)
+        messages.add(str(err.value))
+    assert messages == {
+        f"vector length {len(wrong)} does not match cone dimension {cone.dim}"
+    }
 
 
 # --- differential test: the integer dual against the Fraction dual ---------

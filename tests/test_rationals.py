@@ -38,6 +38,23 @@ def test_parse_rejects_malformed(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1_0", "1/0_2", "\u0661", "\u0663/\u0664", "\uff13", "3/\u0664", "+-1", "1/-2", "1 / 2"],
+    ids=["underscore", "underscore-denominator", "arabic-indic", "arabic-indic-fraction",
+         "fullwidth", "mixed-scripts", "two-signs", "signed-denominator", "spaced-slash"],
+)
+def test_parse_reads_ascii_digits_only(text):
+    with pytest.raises(InputError, match="malformed rational"):
+        parse_rational(text)
+
+
+def test_parse_keeps_sign_and_surrounding_whitespace():
+    assert parse_rational(" +3/4\n") == Fraction(3, 4)
+    assert parse_rational("\t-12") == -12
+    assert parse_rational("007/014") == Fraction(1, 2)
+
+
 def test_format_canonical():
     assert format_rational(Fraction(4, 6)) == "2/3"
     assert format_rational(Fraction(-1, 2)) == "-1/2"

@@ -317,6 +317,26 @@ def test_sparse_rule_matching_equals_dense_scan(data):
     assert ring._matching_rules(mono) == dense
 
 
+@pytest.mark.parametrize(
+    "ring", RULE_RINGS, ids=["curve", "fibre", "rho1-lambda", "ruled-lambda", "ruled-xi"]
+)
+def test_basis_equals_brute_force(ring):
+    """Every exponent tuple of degree k that no rule's left side divides, by
+    a dense scan, in descending lex order."""
+    for k in range(ring.dim + 1):
+        tuples = product(*(range(k // d + 1) for d in ring.gen_degrees))
+        expected = sorted(
+            (
+                mono
+                for mono in tuples
+                if sum(e * d for e, d in zip(mono, ring.gen_degrees)) == k
+                and not any(all(e >= l for e, l in zip(mono, lhs)) for lhs, _ in ring.rules)
+            ),
+            reverse=True,
+        )
+        assert ring.basis(k) == tuple(expected), k
+
+
 def test_degree_eval_linear():
     ring = build_fibre_product_ring(3, 2, 4, -1)
     rng = random.Random(3)
