@@ -26,10 +26,11 @@ _EXPORTS = {
     "cli": ("WorkspaceSpec", "parse_workspace", "run_command"),
     "cones": ("Pairing", "RationalCone", "primitive"),
     "errors": ("CalcError", "InputError", "InternalError"),
+    "presets": ("NumClass", "SpacePreset"),
     "ring": (
-        "IntersectionRing", "NumClass", "SpacePreset", "build_curve_bundle_ring",
-        "build_fibre_product_ring", "build_lambda_ring_surface", "build_xi_ring_surface",
-        "parse_expression", "verify_lambda_vanishing",
+        "IntersectionRing", "build_curve_bundle_ring", "build_fibre_product_ring",
+        "build_lambda_ring_surface", "build_xi_ring_surface", "parse_expression",
+        "verify_lambda_vanishing",
     ),
     "selftest": ("nonneg_combination_feasible", "run_selftest"),
     "zariski": (

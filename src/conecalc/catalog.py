@@ -14,18 +14,11 @@ from operator import add
 from . import bundles as bn
 from .cones import Pairing, RationalCone, primitive
 from .errors import InputError, InternalError
-from .record import Record
-from .ring import (
-    FIBRE_PRODUCT_OVER_CURVE,
-    PROJ_BUNDLE_OVER_CURVE,
-    PROJ_BUNDLE_OVER_RULED_SURFACE,
-    PROJ_BUNDLE_OVER_SURFACE_RHO1,
-    NumClass,
-    SpacePreset,
-    _KINDS,
-    _pmul,
-    build_lambda_ring_surface,
+from .presets import (
+    FIBRE_PRODUCT_OVER_CURVE, PROJ_BUNDLE_OVER_CURVE, PROJ_BUNDLE_OVER_RULED_SURFACE,
+    PROJ_BUNDLE_OVER_SURFACE_RHO1, NumClass, SpacePreset,
 )
+from .record import Record
 
 
 class ConeReport(Record):
@@ -160,7 +153,7 @@ def _nef_divisor_generators(preset, ring):
     and the pullbacks of the base's nef generators."""
     width = len(ring.gens)
     unit = [tuple(int(j == i) for j in range(width)) for i in range(width)]
-    rays = _KINDS[preset.kind].nef_divisors(preset)
+    rays = preset.surface().nef_divisors(preset)
     return [{unit[0]: Fraction(1)}] + [
         {unit[1 + j]: Fraction(c) for j, c in enumerate(ray) if c} for ray in rays
     ]
@@ -178,8 +171,9 @@ def homogeneity_cones(preset, k):
     Returns (psef, nef, basis labels). Built independently of the
     closed-form constructors so it can act as their oracle.
     """
-    if not preset.is_surface:
-        raise InputError("invalid preset: expected a surface-base preset")
+    from .ring import _pmul, build_lambda_ring_surface
+
+    preset.surface()
     r = preset.rank
     if not 1 <= k <= r - 1:
         raise InputError(f"k out of range 1..{r - 1}")
@@ -249,9 +243,7 @@ def surface_cone_report(preset, k):
     cone of ``homogeneity_cones``; the nef side is that function's pairing
     dual, so the report's equality flag is evidence, not fiat.
     """
-    if not preset.is_surface:
-        raise InputError("invalid preset: expected a surface-base preset")
-    spec = _KINDS[preset.kind]
+    spec = preset.surface()
     if k != 1:
         # the cones depend only on rank and L2/mu; k > 1 reports name the c1 = 0 preset
         zeros = (0,) * len(spec.divisors)

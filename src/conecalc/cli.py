@@ -9,16 +9,17 @@ selftest. Exit codes: 0 success, 1 negative answer to a yes/no question,
 
 import argparse
 import json
+import os
 import re
 import sys
 
 from .bundles import HNCurveBundle, SurfaceBundleData
 from .errors import InputError, InternalError
+from .presets import SpacePreset, _KINDS
 from .rationals import format_rational, parse_rational
-from .ring import SpacePreset, _KINDS
 
-# The cone, zariski and selftest layers are imported inside the commands that
-# use them, so that one call loads only what its command needs.
+# The ring, cone, zariski and selftest layers are imported inside the commands
+# that use them, so that one call loads only what its command needs.
 
 
 # Largest bundle rank a workspace may give. The cost of a surface cone report
@@ -28,7 +29,7 @@ MAX_RANK = 24
 
 
 class WorkspaceSpec:
-    """Validated workspace: base kind, named bundles, selected space.
+    """Validated workspace: base kind, selected space, named classes.
 
     ``factors`` is the tuple of bundle objects the selected space is built
     from: one for a projectivized bundle, two for a fibre product.
@@ -36,9 +37,8 @@ class WorkspaceSpec:
     ``classes`` maps optional names to coordinate tuples.
     """
 
-    def __init__(self, base_kind, bundles, factors, preset, classes):
+    def __init__(self, base_kind, factors, preset, classes):
         self.base_kind = base_kind
-        self.bundles = dict(bundles)
         self.factors = tuple(factors)
         self.preset = preset
         self.classes = dict(classes)
@@ -61,7 +61,7 @@ def parse_workspace(data):
             raise InputError("workspace: file is not UTF-8") from None
     try:
         obj = json.loads(data)
-    except ValueError as err:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as err:  # JSONDecodeError, a too-long int, or deep nesting
         raise InputError(f"workspace: not valid JSON ({err})") from None
     if not isinstance(obj, dict):
         _fail("workspace", "top level must be an object")
@@ -168,7 +168,7 @@ def parse_workspace(data):
         except InputError as err:
             raise _rescope(path, err) from None
 
-    return WorkspaceSpec(base_kind, bundles, factors, preset, classes)
+    return WorkspaceSpec(base_kind, factors, preset, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +230,11 @@ def _format_vector(vec):
 
 
 def _cmd_ring(spec, rest, json_output):
+    from .ring import build_ring
+
     if not rest or rest[0] != "eval" or len(rest) < 2:
         raise InputError("usage: ring eval <expression>")
-    ring = _KINDS[spec.preset.kind].ring(spec.preset)
+    ring = build_ring(spec.preset)
     cls = ring.normal_form(" ".join(rest[1:]))
     if json_output:
         payload = cls.to_json()
@@ -433,7 +435,12 @@ def main(argv=None):
     except Exception as err:  # anything else is a bug too, never a "no"
         code, text = 3, _error_text(InternalError(f"{type(err).__name__}: {err}"), json_output)
     if text:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader is gone: the exit code still answers, and the flush at
+            # interpreter exit writes to devnull instead of failing again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

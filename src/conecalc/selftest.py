@@ -22,7 +22,8 @@ from .catalog import (
 )
 from .cones import RationalCone
 from .errors import InputError, InternalError
-from .ring import NumClass, SpacePreset, build_fibre_product_ring, verify_lambda_vanishing
+from .presets import NumClass, SpacePreset
+from .ring import build_fibre_product_ring, verify_lambda_vanishing
 from .zariski import decompose, verify
 
 

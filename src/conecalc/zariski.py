@@ -16,11 +16,11 @@ from .bundles import HNCurveBundle
 from .catalog import nef_fibre_product, psef_fibre_product
 from .cones import inequality_text, primitive
 from .errors import InputError, InternalError
+from .presets import NumClass, SpacePreset
 from .rationals import (
     as_fraction, format_rational, parse_bool, parse_coords, parse_rational, parse_records
 )
 from .record import Record
-from .ring import NumClass, SpacePreset
 
 BOTH_SEMISTABLE = "both_semistable"
 ONE_CORANK_ONE = "one_corank_one"

@@ -372,6 +372,25 @@ def test_surface_cone_report_dispatch():
     assert deep.basis == ("lambda^2", "lambda*piL", "F")
 
 
+def test_one_surface_guard():
+    # every surface-only entry point refuses a curve-base preset with one message
+    from conecalc.ring import build_xi_ring_surface
+
+    surface_only = (
+        build_xi_ring_surface,
+        build_lambda_ring_surface,
+        lambda p: homogeneity_cones(p, 1),
+        lambda p: surface_cone_report(p, 1),
+        lambda p: p.base_gram,
+        lambda p: p.c2_end,
+    )
+    message = "^invalid preset: expected a surface-base preset$"
+    for preset in (SpacePreset.curve(2, 1), SpacePreset.fibre_product(2, 3, 0, 1)):
+        for call in surface_only:
+            with pytest.raises(InputError, match=message):
+                call(preset)
+
+
 def test_constructors_match_first_principles():
     for rank in (3, 4):
         for k in range(2, rank):

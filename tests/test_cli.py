@@ -3,6 +3,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -455,6 +457,40 @@ def test_integer_too_long_to_convert_is_invalid_json(tmp_path, capsys):
     # the rank cap refuses it
     assert code == 2
     assert out.startswith(("error: workspace: not valid JSON", "error: bundles[0].rank: "))
+
+
+def test_deeply_nested_workspace_is_invalid_json(tmp_path, capsys):
+    # nesting past the recursion limit, at the top level or inside one field
+    with pytest.raises(InputError, match=r"^workspace: not valid JSON \("):
+        cli.parse_workspace("[" * 100_000 + "]" * 100_000)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(RHO1_WS).replace('"L2": "1"', '"L2": ' + "[" * 2000 + "]" * 2000))
+    code, out = run(capsys, ["-w", str(path), "cone", "nef"])
+    assert code == 2 and out.startswith("error: workspace: not valid JSON (")
+
+
+@pytest.mark.parametrize(
+    "name, argv, want",
+    [
+        ("ruled.json", ["cone", "nef", "--k", "2", "--json"], 0),
+        ("curve.json", ["member", "1,-5"], 1),
+        ("bad_json.json", ["cone", "psef"], 2),
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code(name, argv, want):
+    # the reader closes its end before the call writes: the call still exits
+    # with its own code, and prints no traceback
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "conecalc", "-w", os.path.join(WORKSPACES, name), *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), stderr) == (want, b"")
 
 
 def _rank400_workspace(tmp_path):

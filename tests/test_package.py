@@ -24,6 +24,9 @@ from conecalc.zariski import (
 
 ROOT = Path(__file__).resolve().parents[1]
 FIBRE_WS = str(ROOT / "bench" / "workspaces" / "fibre.json")
+CURVE_WS = str(ROOT / "bench" / "workspaces" / "curve.json")
+RHO1_WS = str(ROOT / "bench" / "workspaces" / "rho1.json")
+BAD_JSON_WS = str(ROOT / "bench" / "workspaces" / "bad_json.json")
 
 # public names deleted because nothing but their own tests used them
 REMOVED = ("extremal_ray_decompositions", "sym_twist_c1")
@@ -136,3 +139,15 @@ def test_cli_call_imports_only_what_its_command_needs():
     assert not {"dataclasses", "inspect", "conecalc.zariski", "conecalc.selftest"} & added
     added = _added_modules(["-w", FIBRE_WS, "ring", "eval", "xi*zeta"])
     assert "conecalc.ring" in added and "conecalc.catalog" not in added
+    # presets and classes need no rewriting engine: curve-side cones and
+    # membership, decompositions and invalid workspaces never load the ring
+    for argv in (
+        ["-w", FIBRE_WS, "cone", "nef"],
+        ["-w", CURVE_WS, "member", "1,-5"],
+        ["-w", FIBRE_WS, "zariski", "1,1,0"],
+    ):
+        assert "conecalc.ring" not in _added_modules(argv)
+    added = _added_modules(["-w", BAD_JSON_WS, "cone", "psef"])
+    assert not {"conecalc.ring", "conecalc.catalog"} & added
+    # first-principles surface cones in codimension 2 do
+    assert "conecalc.ring" in _added_modules(["-w", RHO1_WS, "cone", "nef", "--k", "2"])
