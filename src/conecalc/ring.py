@@ -18,8 +18,7 @@ from operator import add, ge, sub
 
 from .errors import InputError, InternalError
 from .presets import (
-    FIBRE_PRODUCT_OVER_CURVE, PROJ_BUNDLE_OVER_CURVE, PROJ_BUNDLE_OVER_RULED_SURFACE,
-    PROJ_BUNDLE_OVER_SURFACE_RHO1, _ZERO, NumClass, SpacePreset, _require_c2_end_zero,
+    FIBRE_PRODUCT_OVER_CURVE, _ZERO, NumClass, SpacePreset, _require_c2_end_zero,
     format_monomial,
 )
 from .rationals import parse_int, parse_rational, parse_records
@@ -629,17 +628,10 @@ def verify_lambda_vanishing(rank, c1_squared, c2):
     return ring.normal_form(NumClass(ring.gens, rank, power)).is_zero
 
 
-# each kind's ring; an entry looks its builder up when called, so a replaced one is seen
-_BUILDERS = {
-    PROJ_BUNDLE_OVER_CURVE: lambda p: build_curve_bundle_ring(p.rank, p.degree),
-    FIBRE_PRODUCT_OVER_CURVE: lambda p: build_fibre_product_ring(
-        p.rank, p.rank2, p.degree, p.degree2
-    ),
-    PROJ_BUNDLE_OVER_SURFACE_RHO1: lambda p: build_lambda_ring_surface(p),
-    PROJ_BUNDLE_OVER_RULED_SURFACE: lambda p: build_lambda_ring_surface(p),
-}
-
-
 def build_ring(preset):
     """The intersection ring of a preset; the lambda basis over a surface."""
-    return _BUILDERS[preset.kind](preset)
+    if preset.is_surface:
+        return build_lambda_ring_surface(preset)
+    if preset.kind == FIBRE_PRODUCT_OVER_CURVE:
+        return build_fibre_product_ring(preset.rank, preset.rank2, preset.degree, preset.degree2)
+    return build_curve_bundle_ring(preset.rank, preset.degree)

@@ -16,7 +16,7 @@ from conecalc.bundles import (
     validate_hn,
 )
 from conecalc.errors import InputError
-from conecalc.ring import PROJ_BUNDLE_OVER_SURFACE_RHO1, SpacePreset
+from conecalc.presets import PROJ_BUNDLE_OVER_SURFACE_RHO1, SpacePreset
 
 
 def test_slope_examples():

@@ -460,11 +460,13 @@ def test_integer_too_long_to_convert_is_invalid_json(tmp_path, capsys):
 
 
 def test_deeply_nested_workspace_is_invalid_json(tmp_path, capsys):
-    # nesting past the recursion limit, at the top level or inside one field
+    # nesting past any interpreter's recursion limit, at the top level or
+    # inside one field
+    deep = "[" * 100_000 + "]" * 100_000
     with pytest.raises(InputError, match=r"^workspace: not valid JSON \("):
-        cli.parse_workspace("[" * 100_000 + "]" * 100_000)
+        cli.parse_workspace(deep)
     path = tmp_path / "ws.json"
-    path.write_text(json.dumps(RHO1_WS).replace('"L2": "1"', '"L2": ' + "[" * 2000 + "]" * 2000))
+    path.write_text(json.dumps(RHO1_WS).replace('"L2": "1"', '"L2": ' + deep))
     code, out = run(capsys, ["-w", str(path), "cone", "nef"])
     assert code == 2 and out.startswith("error: workspace: not valid JSON (")
 
@@ -479,10 +481,11 @@ def test_deeply_nested_workspace_is_invalid_json(tmp_path, capsys):
 )
 def test_closed_stdout_keeps_the_exit_code(name, argv, want):
     # the reader closes its end before the call writes: the call still exits
-    # with its own code, and prints no traceback
+    # with its own code, and prints no traceback and warns about nothing
     path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    workspace = os.path.join(WORKSPACES, name)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "conecalc", "-w", os.path.join(WORKSPACES, name), *argv],
+        [sys.executable, "-W", "error", "-m", "conecalc", "-w", workspace, *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": path},
