@@ -7,7 +7,6 @@ nef divisor generators on one side, pairing duality on the other) and so
 serves as the constructors' oracle.
 """
 
-from fractions import Fraction
 from math import lcm
 from operator import add
 
@@ -16,7 +15,7 @@ from .cones import Pairing, RationalCone, primitive
 from .errors import InputError, InternalError
 from .presets import (
     FIBRE_PRODUCT_OVER_CURVE, PROJ_BUNDLE_OVER_CURVE, PROJ_BUNDLE_OVER_RULED_SURFACE,
-    PROJ_BUNDLE_OVER_SURFACE_RHO1, NumClass, SpacePreset,
+    PROJ_BUNDLE_OVER_SURFACE_RHO1, SpacePreset,
 )
 from .record import Record
 
@@ -150,12 +149,13 @@ def iterated_fibre_product_cones(tower):
 
 def _nef_divisor_generators(preset, ring):
     """Degree-1 generators of the nef cone in the lambda-basis ring: lambda
-    and the pullbacks of the base's nef generators."""
+    and the pullbacks of the base's nef generators, each scaled to a
+    primitive integer ray, which spans the same cone."""
     width = len(ring.gens)
     unit = [tuple(int(j == i) for j in range(width)) for i in range(width)]
     rays = preset.surface().nef_divisors(preset)
-    return [{unit[0]: Fraction(1)}] + [
-        {unit[1 + j]: Fraction(c) for j, c in enumerate(ray) if c} for ray in rays
+    return [{unit[0]: 1}] + [
+        {unit[1 + j]: c for j, c in enumerate(primitive(ray)) if c} for ray in rays
     ]
 
 
@@ -184,20 +184,21 @@ def homogeneity_cones(preset, k):
     # divisor indices, so each multiset is built once; normal forms respect
     # products, so reducing the prefix first gives the same class. Every
     # product is homogeneous of degree below the dimension, so it goes to the
-    # rewriting directly.
-    layers = [{(): NumClass(ring.gens, 0, {(0,) * len(ring.gens): Fraction(1)})}]
-    for degree in range(1, max(k, k2) + 1):
+    # rewriting directly. Coefficients are ints unless the base form is not.
+    layers = [{(): {(0,) * len(ring.gens): 1}}]
+    for _ in range(max(k, k2)):
         layer = {}
         for key, prev in layers[-1].items():
             for i in range(key[-1] if key else 0, len(divisors)):
-                coeffs = ring._reduce(_pmul(prev.coeffs, divisors[i]))
+                coeffs = ring._reduce(_pmul(prev, divisors[i]))
                 if coeffs:
-                    layer[key + (i,)] = NumClass(ring.gens, degree, coeffs)
+                    layer[key + (i,)] = coeffs
         layers.append(layer)
 
     def product_cone(degree):
         basis = ring.basis(degree)
-        return RationalCone(len(basis), [c.coordinates(basis) for c in layers[degree].values()])
+        rows = [tuple(c.get(m, 0) for m in basis) for c in layers[degree].values()]
+        return RationalCone(len(basis), rows)
 
     psef = product_cone(k)
     psef_complement = product_cone(k2)

@@ -21,9 +21,16 @@ def as_fraction(value):
     return value if type(value) is Fraction else Fraction(value)
 
 
+def _echo(value):
+    """``repr(value)`` for an error message, cut to 40 characters plus '...'
+    so that one bad field cannot echo input of any size."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def parse_rational(value):
     if isinstance(value, bool):
-        raise InputError(f"malformed rational: {value!r}")
+        raise InputError(f"malformed rational: {_echo(value)}")
     if isinstance(value, (int, Fraction)):
         return as_fraction(value)
     if isinstance(value, str):
@@ -32,38 +39,38 @@ def parse_rational(value):
         # and other scripts' digits
         text = value.strip()
         if not _RATIONAL_TEXT.fullmatch(text):
-            raise InputError(f"malformed rational: {value!r}")
+            raise InputError(f"malformed rational: {_echo(value)}")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"malformed rational: {value!r}") from None
-    raise InputError(f"malformed rational: {value!r}")
+            raise InputError(f"malformed rational: {_echo(value)}") from None
+    raise InputError(f"malformed rational: {_echo(value)}")
 
 
 def parse_int(value):
     # bool is a subclass of int; a float or "2" only converts to one
     if type(value) is not int:
-        raise InputError(f"malformed integer: {value!r}")
+        raise InputError(f"malformed integer: {_echo(value)}")
     return value
 
 
 def parse_bool(value):
     if type(value) is not bool:
-        raise InputError(f"malformed boolean: {value!r}")
+        raise InputError(f"malformed boolean: {_echo(value)}")
     return value
 
 
 def parse_records(value):
     # a string or an object iterates too, so "" or {} would otherwise read as []
     if not isinstance(value, list):
-        raise InputError(f"malformed record list: {value!r}")
+        raise InputError(f"malformed record list: {_echo(value)}")
     return value
 
 
 def parse_coords(value):
     # a string iterates too, so "110" would otherwise read as (1, 1, 0)
     if not isinstance(value, list):
-        raise InputError(f"malformed coordinate list: {value!r}")
+        raise InputError(f"malformed coordinate list: {_echo(value)}")
     return tuple(parse_rational(x) for x in value)
 
 

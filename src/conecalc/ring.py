@@ -18,8 +18,7 @@ from operator import add, ge, sub
 
 from .errors import InputError, InternalError
 from .presets import (
-    FIBRE_PRODUCT_OVER_CURVE, _ZERO, NumClass, SpacePreset, _require_c2_end_zero,
-    format_monomial,
+    FIBRE_PRODUCT_OVER_CURVE, NumClass, SpacePreset, _require_c2_end_zero, format_monomial,
 )
 from .rationals import parse_int, parse_rational, parse_records
 
@@ -52,12 +51,19 @@ def _clean(poly):
     return {m: c for m, c in poly.items() if c != 0}
 
 
+def _exact(value):
+    # an int where the value is integral: int arithmetic is far cheaper
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def _pmul(a, b):
+    # a monomial's first term is stored as it is, so ints stay ints
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            mono = tuple(map(add, m1, m2))
-            out[mono] = out.get(mono, _ZERO) + c1 * c2
+            mono, c = tuple(map(add, m1, m2)), c1 * c2
+            out[mono] = out[mono] + c if mono in out else c
     return _clean(out)
 
 
@@ -70,7 +76,7 @@ class IntersectionRing:
         self.dim = int(dim)
         self.top_monomial = tuple(top_monomial)
         self.rules = tuple(
-            (tuple(lhs), {tuple(m): Fraction(c) for m, c in rhs.items() if c != 0})
+            (tuple(lhs), {tuple(m): _exact(c) for m, c in rhs.items() if c != 0})
             for lhs, rhs in rules
         )
         for lhs, rhs in self.rules:
@@ -95,6 +101,7 @@ class IntersectionRing:
     def _reduce(self, poly, pick=None):
         """Rewrite until irreducible. ``pick(mono, rule_indices)`` overrides
         the deterministic first-listed-rule choice; used to test confluence.
+        Coefficients keep their type: ints times int rules stay ints.
 
         Callers hand over homogeneous polynomials of degree at most ``dim``
         alone: a class above the dimension is zero without rewriting. The
@@ -108,12 +115,15 @@ class IntersectionRing:
             if guard > 1_000_000:
                 raise InternalError("rewrite did not terminate")
             mono, coeff = stack.pop()
-            hits = self._matching_rules(mono)
-            if not hits:
-                result[mono] = result.get(mono, _ZERO) + coeff
+            if pick is None:
+                rule = next((rule for rule in self.rules if all(map(ge, mono, rule[0]))), None)
+            else:
+                hits = self._matching_rules(mono)
+                rule = self.rules[pick(mono, hits)] if hits else None
+            if rule is None:
+                result[mono] = result[mono] + coeff if mono in result else coeff
                 continue
-            index = hits[0] if pick is None else pick(mono, hits)
-            lhs, rhs = self.rules[index]
+            lhs, rhs = rule
             rest = tuple(map(sub, mono, lhs))
             for rmono, rcoeff in rhs.items():
                 stack.append((tuple(map(add, rest, rmono)), coeff * rcoeff))
@@ -180,7 +190,7 @@ class IntersectionRing:
                     "irreducible top-degree monomial besides the top monomial: "
                     + format_monomial(self.gens, mono)
                 )
-        return coeffs.get(self.top_monomial, _ZERO)
+        return coeffs.get(self.top_monomial, 0)
 
     def basis(self, k):
         """Irreducible monomials of degree k, descending lex. Frozen order:
@@ -198,7 +208,7 @@ class IntersectionRing:
                     # the last exponent is whatever degree is left, if it divides
                     if remaining % step == 0:
                         mono = tuple(prefix) + (remaining // step,)
-                        if not self._matching_rules(mono):
+                        if not any(all(map(ge, mono, lhs)) for lhs, _ in self.rules):
                             found.append(mono)
                     return
                 for e in range(remaining // step, -1, -1):
@@ -367,7 +377,7 @@ def parse_expression(ring, text):
             return low, high, None
         part = dict(a[2])
         for mono, coeff in b[2].items():
-            part[mono] = part.get(mono, _ZERO) + coeff
+            part[mono] = part[mono] + coeff if mono in part else coeff
         return checked(low, high, _clean(part))
 
     def times(a, b):

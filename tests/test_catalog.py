@@ -12,7 +12,6 @@ from conecalc import bundles as bn
 from conecalc.bundles import HNCurveBundle
 from conecalc.catalog import (
     _curve_cone,
-    _nef_divisor_generators,
     fibre_product_cones,
     homogeneity_cones,
     iterated_fibre_product_cones,
@@ -416,12 +415,16 @@ def test_report_json_shape():
 
 
 def _from_scratch_cones(preset, k):
-    """Reference cones: every degree-k product multiplied out from 1 and
-    reduced once; nef is the pairing dual of the complementary-degree
-    cone."""
+    """Reference cones: every degree-k product of the unscaled Fraction
+    divisors multiplied out from 1 and reduced once; nef is the pairing dual
+    of the complementary-degree cone."""
     ring = build_lambda_ring_surface(preset)
-    divisors = _nef_divisor_generators(preset, ring)
     width = len(ring.gens)
+    units = [tuple(int(j == i) for j in range(width)) for i in range(width)]
+    divisors = [{units[0]: Fraction(1)}] + [
+        {units[1 + j]: Fraction(c) for j, c in enumerate(ray) if c}
+        for ray in preset.surface().nef_divisors(preset)
+    ]
 
     def product_cone(degree):
         basis = ring.basis(degree)
@@ -460,6 +463,9 @@ def balanced_presets_with_k(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(balanced_presets_with_k())
+# an integral gram runs on ints alone; mu = 1/3 mixes ints and Fractions
+@example((ruled(4, 1, (1, 2)), 2))
+@example((ruled(4, Fraction(1, 3), (1, 2)), 2))
 def test_incremental_products_equal_from_scratch(case):
     preset, k = case
     psef, nef, _ = homogeneity_cones(preset, k)

@@ -434,6 +434,15 @@ def test_workspace_rationals_are_ascii_only(tmp_path, capsys):
     assert (code, out) == (2, "error: base.mu: malformed rational: '1_0'\n")
 
 
+def test_a_huge_bad_value_is_echoed_briefly(tmp_path, capsys):
+    with open(os.path.join(WORKSPACES, "rho1.json")) as handle:
+        workspace = json.load(handle)
+    workspace["base"]["L2"] = [0] * 200_000
+    code, out = run(capsys, ["-w", ws_file(tmp_path, workspace), "cone", "nef"])
+    assert code == 2 and out.startswith("error: base.L2: malformed rational: [0, 0, ")
+    assert len(out.encode()) < 200
+
+
 def test_bundle_rank_cap_is_path_addressed(tmp_path, capsys):
     rank = cli.MAX_RANK
     workspace = copy.deepcopy(RHO1_WS)

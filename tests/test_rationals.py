@@ -101,3 +101,34 @@ def test_strict_record_list():
     for bad in ("", {}, "[]", ({},), None, 0):
         with pytest.raises(InputError, match="malformed record list"):
             parse_records(bad)
+
+
+
+@pytest.mark.parametrize(
+    "parse, short, kind",
+    [
+        (parse_rational, "0.5", "rational"),
+        (parse_int, "2", "integer"),
+        (parse_bool, 1, "boolean"),
+        (parse_records, "", "record list"),
+        (parse_coords, "110", "coordinate list"),
+    ],
+)
+def test_error_echo_is_bounded(parse, short, kind):
+    """A bad value is echoed by its repr, cut to 40 characters and '...'."""
+    with pytest.raises(InputError) as err:
+        parse(short)
+    assert str(err.value) == f"malformed {kind}: {short!r}"
+    long = "7" * 200_000
+    with pytest.raises(InputError) as err:
+        parse(long if parse is not parse_rational else [0] * 200_000)
+    echo = str(err.value).split(": ", 1)[1]
+    assert len(echo) == 43 and echo.endswith("...")
+
+
+def test_error_echo_cut_starts_past_40_characters():
+    # a 38-character string has a 40-character repr
+    for text, echo in (("x" * 38, repr("x" * 38)), ("x" * 39, repr("x" * 39)[:40] + "...")):
+        with pytest.raises(InputError) as err:
+            parse_rational(text)
+        assert str(err.value) == f"malformed rational: {echo}"

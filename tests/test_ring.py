@@ -294,6 +294,46 @@ def test_confluence_random_rule_choice():
             expected = ring.normal_form(cls)
             chaotic = ring.normal_form(cls, _pick=lambda m, hits: rng.choice(hits))
             assert chaotic.coeffs == expected.coeffs
+            # the first-match scan picks what the full match list lists first
+            first = ring._reduce(cls.coeffs, pick=lambda m, hits: hits[0])
+            assert ring._reduce(cls.coeffs) == first
+
+
+# integral and fractional rule coefficients (L2 = 3/2, mu = 1/3) on each kind
+TYPED_RINGS = {
+    "curve": build_curve_bundle_ring(3, -2),
+    "fibre": build_fibre_product_ring(2, 3, 1, -2),
+    "rho1-integral": build_lambda_ring_surface(rho1_preset(3, 3, 1)),
+    "rho1-fractional": build_lambda_ring_surface(rho1_preset(3, Fraction(3, 2), 1)),
+    "ruled-integral": build_lambda_ring_surface(ruled_preset(3, 1, (1, 1))),
+    "ruled-fractional": build_lambda_ring_surface(ruled_preset(3, Fraction(1, 3), (1, 1))),
+}
+
+
+@pytest.mark.parametrize("name", list(TYPED_RINGS))
+def test_public_results_are_fractions(name):
+    """Rules hold ints where they can; every public coefficient and value
+    is still a Fraction, for integral and fractional inputs alike."""
+    ring = TYPED_RINGS[name]
+    width = len(ring.gens)
+    rule_types = {type(c) for _, rhs in ring.rules for c in rhs.values()}
+    assert rule_types <= {int, Fraction}
+    assert (Fraction in rule_types) is name.endswith("fractional")
+    for coeff in (Fraction(2), Fraction(-3, 2)):
+        for k in range(ring.dim + 1):
+            for mono in product(range(k + 1), repeat=width):
+                if ring.monomial_degree(mono) != k:
+                    continue
+                term = NumClass(ring.gens, k, {mono: coeff})
+                cls = ring.normal_form(term)
+                assert all(type(c) is Fraction for c in cls.coeffs.values()), (mono, cls)
+                if k == ring.dim:
+                    assert type(ring.degree_eval(term)) is Fraction
+        text = f"{coeff}*{ring.gens[0]}^{ring.dim}"
+        assert all(type(c) is Fraction for c in ring.normal_form(text).coeffs.values())
+        assert type(ring.degree_eval(text)) is Fraction
+    with pytest.raises(InputError, match="^class coefficient 1 is not a nonzero Fraction"):
+        ring.normal_form(NumClass(ring.gens, 1, {(1,) + (0,) * (width - 1): 1}))
 
 
 # one ring of each kind, plus an xi-basis ring
