@@ -16,7 +16,7 @@ import sys
 from .bundles import HNCurveBundle, SurfaceBundleData
 from .errors import InputError, InternalError
 from .presets import SpacePreset, _KINDS
-from .rationals import format_rational, parse_rational
+from .rationals import _cut, _echo, format_rational, parse_rational
 
 # The ring, cone, zariski and selftest layers are imported inside the commands
 # that use them, so that one call loads only what its command needs.
@@ -77,7 +77,7 @@ def parse_workspace(data):
             (s for s in _KINDS.values() if s.base is not None and s.base == base_kind), None
         )
         if surface is None:
-            _fail("base.kind", f"unknown base kind {base_kind!r}")
+            _fail("base.kind", f"unknown base kind {_echo(base_kind)}")
         path = f"base.{surface.param}"
         try:
             param = parse_rational(base[surface.param])
@@ -100,7 +100,7 @@ def parse_workspace(data):
         if not isinstance(name, str) or not name:
             _fail(f"{path}.name", "missing bundle name")
         if name in bundles:
-            _fail(f"{path}.name", f"duplicate bundle name {name!r}")
+            _fail(f"{path}.name", f"duplicate bundle name {_echo(name)}")
         try:
             if surface is None:
                 bundles[name] = HNCurveBundle.from_json(record)
@@ -112,8 +112,9 @@ def parse_workspace(data):
                 bundles[name] = SurfaceBundleData.from_json(record)
         except InputError as err:
             raise _rescope(path, err) from None
-        if bundles[name].rank > MAX_RANK:
-            _fail(f"{path}.rank", f"rank {bundles[name].rank} is above the limit of {MAX_RANK}")
+        rank = bundles[name].rank
+        if rank > MAX_RANK:
+            _fail(f"{path}.rank", f"rank {_echo(rank)} is above the limit of {MAX_RANK}")
 
     space = obj.get("space")
     if not isinstance(space, dict):
@@ -122,7 +123,7 @@ def parse_workspace(data):
 
     def resolve(path, name):
         if not isinstance(name, str) or name not in bundles:
-            _fail(path, f"unknown bundle {name!r}")
+            _fail(path, f"unknown bundle {_echo(name)}")
         return bundles[name]
 
     if space_kind == "proj_bundle":
@@ -153,14 +154,14 @@ def parse_workspace(data):
             raise _rescope("space", err) from None
         factors = (first, second)
     else:
-        _fail("space.kind", f"unknown space kind {space_kind!r}")
+        _fail("space.kind", f"unknown space kind {_echo(space_kind)}")
 
     classes = {}
     payload = obj.get("classes", {})
     if not isinstance(payload, dict):
         _fail("classes", "must map names to coordinate lists")
     for name, coords in payload.items():
-        path = f"classes[{name!r}]"
+        path = f"classes[{_echo(name)}]"
         if not isinstance(coords, list):
             _fail(path, "must be a list of rationals")
         try:
@@ -184,7 +185,7 @@ def _split_flags(tokens, allowed):
         if token.startswith("--"):
             name, eq, value = token[2:].partition("=")
             if name not in allowed:
-                raise InputError(f"unknown flag --{name}")
+                raise InputError(f"unknown flag --{_cut(name)}")
             if not eq:
                 i += 1
                 if i >= len(tokens):
@@ -393,7 +394,7 @@ def run_command(spec, command, json_output=False):
     if head == "selftest":
         return _cmd_selftest(json_output)
     if spec is None:
-        raise InputError(f"command {head!r} needs a workspace file (-w PATH)")
+        raise InputError(f"command {_echo(head)} needs a workspace file (-w PATH)")
     handlers = {
         "ring": _cmd_ring,
         "cone": _cmd_cone,
@@ -402,7 +403,7 @@ def run_command(spec, command, json_output=False):
         "homog": _cmd_homog,
     }
     if head not in handlers:
-        raise InputError(f"unknown command {head!r}")
+        raise InputError(f"unknown command {_echo(head)}")
     return handlers[head](spec, rest, json_output)
 
 

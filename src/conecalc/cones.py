@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-from .rationals import as_fraction, format_rational, parse_coords, parse_int, parse_records
+from .rationals import as_fraction, format_rational
 from .record import Record
 
 MAX_DIM = 6
@@ -270,15 +270,6 @@ class RationalCone:
             "dim": self.dim,
             "generators": [[format_rational(x) for x in g] for g in self.generators],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            dim = parse_int(obj["dim"])
-            gens = [parse_coords(g) for g in parse_records(obj["generators"])]
-        except (KeyError, TypeError, ValueError):
-            raise InputError("cone record needs dim and generators") from None
-        return cls(dim, gens)
 
 
 def inequality_text(kind, normal, labels):

@@ -21,11 +21,15 @@ def as_fraction(value):
     return value if type(value) is Fraction else Fraction(value)
 
 
-def _echo(value):
-    """``repr(value)`` for an error message, cut to 40 characters plus '...'
-    so that one bad field cannot echo input of any size."""
-    text = repr(value)
+def _cut(text):
+    """``text`` for an error message, cut to 40 characters plus '...' so
+    that one bad field cannot echo input of any size."""
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _echo(value):
+    """``repr(value)``, cut by ``_cut``."""
+    return _cut(repr(value))
 
 
 def parse_rational(value):

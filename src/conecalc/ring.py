@@ -20,31 +20,7 @@ from .errors import InputError, InternalError
 from .presets import (
     FIBRE_PRODUCT_OVER_CURVE, NumClass, SpacePreset, _require_c2_end_zero, format_monomial,
 )
-from .rationals import parse_int, parse_rational, parse_records
-
-
-def parse_monomial(gens, text):
-    if not isinstance(text, str):
-        raise InputError(f"malformed monomial: {text!r}")
-    exps = [0] * len(gens)
-    text = text.strip()
-    if text == "1":
-        return tuple(exps)
-    for factor in text.split("*"):
-        name, caret, power = factor.strip().partition("^")
-        if name not in gens:
-            raise InputError(f"unknown generator {name!r}; ring has {', '.join(gens)}")
-        exp = 1
-        if caret:
-            # the expression parser's rule: 1 to MAX_EXPONENT_DIGITS ASCII digits
-            if not 0 < len(power) <= MAX_EXPONENT_DIGITS or any(c not in _DIGITS for c in power):
-                raise InputError(f"bad exponent in {factor!r}")
-            exp = int(power)
-            if exp < 1:
-                raise InputError(f"bad exponent in {factor!r}")
-        exps[gens.index(name)] += exp
-    return tuple(exps)
-
+from .rationals import _echo, parse_rational
 
 
 def _clean(poly):
@@ -85,7 +61,7 @@ class IntersectionRing:
                 raise InternalError("rewrite rule does not preserve degree")
         if self.monomial_degree(self.top_monomial) != self.dim:
             raise InternalError("top monomial degree differs from the dimension")
-        if self._matching_rules(self.top_monomial):
+        if any(all(map(ge, self.top_monomial, lhs)) for lhs, _ in self.rules):
             raise InternalError("top monomial is reducible")
         if any(sum(lhs) == 1 for lhs, _ in self.rules):
             raise InternalError("a generator is reducible")
@@ -94,13 +70,9 @@ class IntersectionRing:
     def monomial_degree(self, mono):
         return sum(e * d for e, d in zip(mono, self.gen_degrees))
 
-    def _matching_rules(self, mono):
-        # the exponent test on each dense left side runs in C
-        return [i for i, (lhs, _) in enumerate(self.rules) if all(map(ge, mono, lhs))]
-
-    def _reduce(self, poly, pick=None):
-        """Rewrite until irreducible. ``pick(mono, rule_indices)`` overrides
-        the deterministic first-listed-rule choice; used to test confluence.
+    def _reduce(self, poly):
+        """Rewrite until irreducible, each monomial by the first listed rule
+        that matches it; the exponent test on each dense left side runs in C.
         Coefficients keep their type: ints times int rules stay ints.
 
         Callers hand over homogeneous polynomials of degree at most ``dim``
@@ -115,11 +87,7 @@ class IntersectionRing:
             if guard > 1_000_000:
                 raise InternalError("rewrite did not terminate")
             mono, coeff = stack.pop()
-            if pick is None:
-                rule = next((rule for rule in self.rules if all(map(ge, mono, rule[0]))), None)
-            else:
-                hits = self._matching_rules(mono)
-                rule = self.rules[pick(mono, hits)] if hits else None
+            rule = next((rule for rule in self.rules if all(map(ge, mono, rule[0]))), None)
             if rule is None:
                 result[mono] = result[mono] + coeff if mono in result else coeff
                 continue
@@ -129,7 +97,7 @@ class IntersectionRing:
                 stack.append((tuple(map(add, rest, rmono)), coeff * rcoeff))
         return _clean(result)
 
-    def normal_form(self, expr, _pick=None):
+    def normal_form(self, expr):
         """Reduce to the unique irreducible representative, as a NumClass.
 
         ``expr`` is a NumClass of this ring or an expression string; any
@@ -166,7 +134,7 @@ class IntersectionRing:
             raise _mixed(sorted(degrees))
         if expr.degree > self.dim:
             return NumClass(self.gens, expr.degree, {})
-        return NumClass(self.gens, expr.degree, self._reduce(expr.coeffs, pick=_pick))
+        return NumClass(self.gens, expr.degree, self._reduce(expr.coeffs))
 
     def degree_eval(self, expr):
         """Evaluate a top-degree class or expression string against the
@@ -230,23 +198,6 @@ class IntersectionRing:
             )
         poly = {m: Fraction(c) for m, c in zip(basis, coords) if Fraction(c) != 0}
         return NumClass(self.gens, k, poly)
-
-    def class_from_json(self, obj):
-        try:
-            degree = parse_int(obj["degree"])
-            terms = [(term["monomial"], term["coeff"]) for term in parse_records(obj["terms"])]
-        except (KeyError, TypeError, ValueError):
-            raise InputError("class record needs degree and terms") from None
-        basis = set(self.basis(degree))
-        poly = {}
-        for text, raw in terms:
-            mono = parse_monomial(self.gens, text)
-            if mono not in basis:
-                raise InputError(f"monomial {text!r} is not in the degree-{degree} basis")
-            coeff = parse_rational(raw)
-            if coeff:
-                poly[mono] = poly.get(mono, Fraction(0)) + coeff
-        return NumClass(self.gens, degree, _clean(poly))
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +437,11 @@ def parse_expression(ring, text):
             d = ring.gen_degrees[i]
             mono = tuple(int(j == i) for j in range(width))
             return d, d, {mono: Fraction(1)} if d <= dim else None
-        raise InputError(f"unknown generator {tok!r}; ring has {', '.join(ring.gens)}")
+        raise InputError(f"unknown generator {_echo(tok)}; ring has {', '.join(ring.gens)}")
 
     value = parse_sum()
     if pos != len(tokens):
-        raise InputError(f"unexpected token {tokens[pos]!r}")
+        raise InputError(f"unexpected token {_echo(tokens[pos])}")
     if value is None:
         return ParsedPoly({}, (0, 0))
     low, high, part = value

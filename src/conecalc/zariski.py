@@ -18,7 +18,7 @@ from .cones import inequality_text, primitive
 from .errors import InputError, InternalError
 from .presets import NumClass, SpacePreset
 from .rationals import (
-    as_fraction, format_rational, parse_bool, parse_coords, parse_rational, parse_records
+    _echo, as_fraction, format_rational, parse_bool, parse_coords, parse_rational, parse_records
 )
 from .record import Record
 
@@ -105,7 +105,7 @@ class ReductionStep(Record):
         self, factor, from_bundle, to_bundle, blowup_center_rank, exceptional_multiplicity
     ):
         if factor not in ("first", "second"):
-            raise InputError(f"unknown factor {factor!r}")
+            raise InputError(f"unknown factor {_echo(factor)}")
         if blowup_center_rank + to_bundle.rank != from_bundle.rank:
             raise InputError("blow-up center rank does not match the rank drop")
         if blowup_center_rank < 1:
@@ -159,7 +159,7 @@ class ZariskiCertificate(Record):
         if len(coords) != 3:
             raise InputError("certificate input must be a coordinate triple")
         if terminal_case not in TERMINAL_CASES:
-            raise InputError(f"unknown terminal case {terminal_case!r}")
+            raise InputError(f"unknown terminal case {_echo(terminal_case)}")
         N = tuple((gen, as_fraction(coeff)) for gen, coeff in N)
         super().__init__(coords, tuple(steps), terminal_case, P, N, verified)
 

@@ -407,7 +407,8 @@ def test_report_json_shape():
     assert payload["k"] == 1
     assert payload["basis"] == ["xi", "zeta", "F"]
     assert payload["equal"] is True
-    restored = RationalCone.from_json(payload["nef"])
+    nef = payload["nef"]
+    restored = RationalCone(nef["dim"], [[Fraction(x) for x in g] for g in nef["generators"]])
     assert restored == report.nef
 
 

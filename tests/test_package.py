@@ -1,6 +1,7 @@
 """The package's public names, its value records, and what one CLI call imports."""
 
 import copy
+import importlib.util
 import os
 import subprocess
 import sys
@@ -48,6 +49,31 @@ def test_unknown_names_raise_attribute_error():
     from conecalc import selftest
 
     assert selftest.__name__ == "conecalc.selftest"
+
+
+def _load_tracing():
+    path = ROOT / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves():
+    """Each traced callable exists where the benchmark's tracer looks: a
+    method in its class's own namespace, anything else in its module. The
+    tracer skips a missing one, and its metrics then drop out of the run."""
+    missing = []
+    for _, modname, label in _load_tracing().TARGETS:
+        module = importlib.import_module(f"conecalc.{modname}")
+        owner, _, attr = label.rpartition(".")
+        found = attr in vars(getattr(module, owner, object)) if owner else hasattr(module, label)
+        if not found:
+            missing.append(f"{modname}.{label}")
+    assert not missing, (
+        f"trace targets gone from the package: {missing}; BENCHMARK.json names their "
+        "metrics, so they leave only with those metrics (ROADMAP item 4)"
+    )
 
 
 # one factory per record class; each call builds a new, equal instance

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import ge
 from unittest import mock
 
 import pytest
@@ -277,6 +278,25 @@ def test_a_class_is_checked_where_it_enters(coeffs):
         ring.degree_eval(NumClass(ring.gens, 1, coeffs))
 
 
+def _reduce_any_order(ring, poly, rng):
+    """Rewrite a random pending monomial by a random matching rule of
+    ``ring.rules`` until none matches; written apart from the ring's own
+    first-match reducer."""
+    result = {}
+    stack = list(poly.items())
+    while stack:
+        mono, coeff = stack.pop(rng.randrange(len(stack)))
+        hits = [(lhs, rhs) for lhs, rhs in ring.rules if all(map(ge, mono, lhs))]
+        if not hits:
+            result[mono] = result.get(mono, 0) + coeff
+            continue
+        lhs, rhs = rng.choice(hits)
+        rest = tuple(e - l for e, l in zip(mono, lhs))
+        for rmono, rcoeff in rhs.items():
+            stack.append((tuple(e + r for e, r in zip(rest, rmono)), coeff * rcoeff))
+    return {m: c for m, c in result.items() if c}
+
+
 def test_confluence_random_rule_choice():
     rng = random.Random(11)
     rings = [
@@ -292,11 +312,7 @@ def test_confluence_random_rule_choice():
                 continue
             cls = NumClass(ring.gens, ring.monomial_degree(mono), {mono: Fraction(1)})
             expected = ring.normal_form(cls)
-            chaotic = ring.normal_form(cls, _pick=lambda m, hits: rng.choice(hits))
-            assert chaotic.coeffs == expected.coeffs
-            # the first-match scan picks what the full match list lists first
-            first = ring._reduce(cls.coeffs, pick=lambda m, hits: hits[0])
-            assert ring._reduce(cls.coeffs) == first
+            assert _reduce_any_order(ring, cls.coeffs, rng) == expected.coeffs
 
 
 # integral and fractional rule coefficients (L2 = 3/2, mu = 1/3) on each kind
@@ -344,17 +360,6 @@ RULE_RINGS = (
     build_lambda_ring_surface(ruled_preset(3, Fraction(-1, 3), (1, 2))),
     build_xi_ring_surface(ruled_preset(3, Fraction(1, 2), (1, -1))),
 )
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_sparse_rule_matching_equals_dense_scan(data):
-    ring = data.draw(st.sampled_from(RULE_RINGS))
-    mono = data.draw(st.tuples(*[st.integers(0, 5)] * len(ring.gens)))
-    dense = [
-        i for i, (lhs, _) in enumerate(ring.rules) if all(e >= l for e, l in zip(mono, lhs))
-    ]
-    assert ring._matching_rules(mono) == dense
 
 
 @pytest.mark.parametrize(
@@ -413,50 +418,14 @@ def test_basis_orders_frozen():
 def test_class_json_round_trip():
     ring = build_fibre_product_ring(3, 2, 4, -1)
     cls = ring.normal_form("2*xi*zeta - 1/3*F^0*xi^2 + 5*xi*F")
-    back = ring.class_from_json(cls.to_json())
-    assert back.coeffs == cls.coeffs and back.degree == cls.degree
-
-
-def test_class_from_json_reads_degree_strictly():
-    ring = build_fibre_product_ring(3, 2, 4, -1)
-    with pytest.raises(InputError, match="malformed integer: True"):
-        ring.class_from_json({"degree": True, "terms": []})
-
-
-@pytest.mark.parametrize("terms", ["", {}, "xi"])
-def test_class_from_json_reads_the_term_list_strictly(terms):
-    ring = build_fibre_product_ring(3, 2, 4, -1)
-    with pytest.raises(InputError, match="malformed record list"):
-        ring.class_from_json({"degree": 1, "terms": terms})
-
-
-def test_class_from_json_raises_only_input_errors():
-    ring = build_fibre_product_ring(3, 2, 4, -1)
-    for terms in (
-        [{}],
-        [{"monomial": "xi"}],
-        [{"coeff": "1"}],
-        5,
-        ["xi"],
-        [{"monomial": 5, "coeff": "1"}],
-        [{"monomial": None, "coeff": "1"}],
-        [{"monomial": "xi", "coeff": 0.5}],
-    ):
-        with pytest.raises(InputError):
-            ring.class_from_json({"degree": 1, "terms": terms})
-
-
-@pytest.mark.parametrize(
-    "monomial", ["xi^0_1", "xi^\u0661", "xi^+2", "xi^ 2", "xi^", "xi^0", "xi^" + "1" * 101]
-)
-def test_class_from_json_reads_exponents_as_ascii_digits(monomial):
-    # the expression parser's rule: 1 to MAX_EXPONENT_DIGITS ASCII digits
-    ring = build_fibre_product_ring(3, 3, 4, -1)
-    with pytest.raises(InputError, match="bad exponent"):
-        ring.class_from_json({"degree": 2, "terms": [{"monomial": monomial, "coeff": "1"}]})
-    for text, degree in (("xi^2", 2), ("xi*zeta^2", 3), ("xi^" + "0" * 99 + "1", 1)):
-        cls = ring.class_from_json({"degree": degree, "terms": [{"monomial": text, "coeff": "1"}]})
-        assert cls.coeffs == ring.normal_form(text).coeffs
+    assert cls.to_json() == {
+        "degree": 2,
+        "terms": [
+            {"monomial": "xi^2", "coeff": "-1/3"},
+            {"monomial": "xi*zeta", "coeff": "2"},
+            {"monomial": "xi*F", "coeff": "5"},
+        ],
+    }
 
 
 def test_class_from_coordinates_round_trip():
@@ -598,9 +567,9 @@ def _full_expansion(ring, tree):
 REDUCE = IntersectionRing._reduce
 
 
-def _reduce_below_dimension(self, poly, pick=None):
+def _reduce_below_dimension(self, poly):
     assert all(self.monomial_degree(m) <= self.dim for m in poly), "above-dimension rewrite"
-    return REDUCE(self, poly, pick)
+    return REDUCE(self, poly)
 
 
 @settings(max_examples=200, deadline=None)

@@ -342,6 +342,22 @@ def test_certificate_reads_record_lists_strictly(field, value):
         ZariskiCertificate.from_json(payload, UN2, SS2)
 
 
+def test_certificate_echoes_a_bad_label_briefly():
+    a = HNCurveBundle(4, 1, [(1, -2), (1, 0), (2, 3)])
+    b = HNCurveBundle(3, -1, [(1, -2), (2, 1)])
+    good = decompose(a, b, (2, 3, 7)).to_json()
+    assert good["steps"], "the case needs a reduction step to corrupt"
+    bad_case = dict(good, terminal="x" * 100_000)
+    bad_factor = dict(good, steps=[dict(good["steps"][0], factor="x" * 100_000)])
+    for payload, start in (
+        (bad_case, "unknown terminal case 'xxx"),
+        (bad_factor, "unknown factor 'xxx"),
+    ):
+        with pytest.raises(InputError) as err:
+            ZariskiCertificate.from_json(payload, a, b)
+        assert str(err.value).startswith(start) and len(str(err.value)) <= 512
+
+
 def test_decomposition_linear_in_the_class():
     rng = random.Random(5)
     a = HNCurveBundle(3, 2, [(1, -1), (2, 3)])
