@@ -426,7 +426,9 @@ def main(argv=None):
                 with open(args.workspace, "rb") as handle:
                     raw = handle.read()
             except OSError as err:
-                raise InputError(f"workspace: cannot read file ({err})") from None
+                raise InputError(
+                    f"workspace: cannot read file {_echo(args.workspace)} ({err.strerror})"
+                ) from None
             spec = parse_workspace(raw)
         code, text = run_command(spec, command, json_output)
     except InputError as err:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import InputError, InternalError
-from .rationals import format_rational
+from .rationals import _cut, format_rational
 from .record import Record
 
 
@@ -189,7 +189,7 @@ def _require_c2_end_zero(preset):
     if preset.c2_end != 0:
         raise InputError(
             "invalid preset: 2r*c2 - (r-1)*c1^2 must vanish, got "
-            + format_rational(preset.c2_end)
+            + _cut(format_rational(preset.c2_end))
         )
     return preset
 

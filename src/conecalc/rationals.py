@@ -6,6 +6,10 @@ accepted on input for convenience; floats never are. Integers, booleans,
 coordinate lists and record lists are read strictly: a JSON integer where
 an int is due, a JSON bool where a flag is due, a JSON list where
 coordinates or records are due, and nothing that merely converts to one.
+A rational's numerator and denominator have at most ``MAX_RATIONAL_BITS``
+bits, so whatever is computed from a workspace still prints; the
+certificate reader lifts the bound, so that every certificate this package
+writes reads back.
 """
 
 import re
@@ -14,6 +18,7 @@ from fractions import Fraction
 from .errors import InputError
 
 _RATIONAL_TEXT = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?")
+MAX_RATIONAL_BITS = 1024
 
 
 def as_fraction(value):
@@ -32,12 +37,12 @@ def _echo(value):
     return _cut(repr(value))
 
 
-def parse_rational(value):
+def parse_rational(value, max_bits=MAX_RATIONAL_BITS):
     if isinstance(value, bool):
         raise InputError(f"malformed rational: {_echo(value)}")
     if isinstance(value, (int, Fraction)):
-        return as_fraction(value)
-    if isinstance(value, str):
+        value = as_fraction(value)
+    elif isinstance(value, str):
         # the wire format is a sign and ASCII digits, then '/' and ASCII
         # digits; Fraction would also read decimals, exponents, underscores
         # and other scripts' digits
@@ -45,10 +50,20 @@ def parse_rational(value):
         if not _RATIONAL_TEXT.fullmatch(text):
             raise InputError(f"malformed rational: {_echo(value)}")
         try:
-            return Fraction(text)
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise InputError(f"malformed rational: {_echo(value)}") from None
-    raise InputError(f"malformed rational: {_echo(value)}")
+    else:
+        raise InputError(f"malformed rational: {_echo(value)}")
+    if max_bits is not None:
+        # the size alone: an int this long may be too long for repr()
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        if bits > max_bits:
+            raise InputError(
+                f"rational has {bits} bits in numerator or denominator; "
+                f"at most {max_bits} are allowed"
+            )
+    return value
 
 
 def parse_int(value):
@@ -71,11 +86,11 @@ def parse_records(value):
     return value
 
 
-def parse_coords(value):
+def parse_coords(value, max_bits=MAX_RATIONAL_BITS):
     # a string iterates too, so "110" would otherwise read as (1, 1, 0)
     if not isinstance(value, list):
         raise InputError(f"malformed coordinate list: {_echo(value)}")
-    return tuple(parse_rational(x) for x in value)
+    return tuple(parse_rational(x, max_bits) for x in value)
 
 
 def format_rational(value):

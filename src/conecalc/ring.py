@@ -13,14 +13,16 @@ class last), so reduction terminates no matter the order rules are applied
 in; confluence on the published monomial sets is asserted by test.
 """
 
+import re
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, ge, sub
 
 from .errors import InputError, InternalError
 from .presets import (
     FIBRE_PRODUCT_OVER_CURVE, NumClass, SpacePreset, _require_c2_end_zero, format_monomial,
 )
-from .rationals import _echo, parse_rational
+from .rationals import _echo
 
 
 def _clean(poly):
@@ -203,14 +205,19 @@ class IntersectionRing:
 # ---------------------------------------------------------------------------
 # expression parsing
 #
-# The parser computes with values (low, high, part): the lowest and highest
-# degree of the terms as written, and, when the value is homogeneous of
-# degree at most the ring dimension (low == high <= dim), its homogeneous
+# The parser computes with values (low, high, part, den): the lowest and
+# highest degree of the terms as written, and, when the value is homogeneous
+# of degree at most the ring dimension (low == high <= dim), its homogeneous
 # part in normal form; otherwise part is None. The literal zero is None, for
 # it has every degree. Normal form respects products, so each product is
 # reduced as soon as it is built and every part stays within the basis of its
 # degree. A value that is mixed, or lies above the dimension where every class
 # is zero, needs no part at all, so it is never expanded.
+#
+# A part maps monomials to ints over one positive int den, and gcd(den, *ints)
+# is 1 (content and primitive part, as in fraction-free algebra). A sum scales
+# both sides to the lcm of their dens, a product multiplies them, and the
+# result's Fractions are built once, at the end.
 
 # Parser limits; an input past one is an InputError. Coefficients stay short
 # enough to print: Python 3.11 and later refuse to turn an int of more than
@@ -222,6 +229,11 @@ MAX_COEFFICIENT_BITS = 1024
 MAX_PRODUCT_PAIRS = 20_000
 
 _DIGITS = "0123456789"
+# one token per match, whitespace skipped: \s is str.isspace and \w is
+# str.isalnum or '_'; a \w run that starts with neither a letter nor '_', and
+# any other character, is refused by _tokenize
+_TOKEN = re.compile(r"[-+*^()]|[0-9]+(?:/[0-9]+)?|\w+|\S")
+_STARTS = frozenset("+-*^()_" + _DIGITS)
 
 
 class ParsedPoly(dict):
@@ -247,39 +259,21 @@ def _coefficient_too_large():
     return InputError(f"coefficient with more than {MAX_COEFFICIENT_BITS} bits in expression")
 
 
-def _bits(coeff):
-    return max(coeff.numerator.bit_length(), coeff.denominator.bit_length())
-
-
 def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^()":
-            tokens.append(ch)
-            i += 1
-        elif ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1] in _DIGITS:
-                j += 1
-                while j < len(text) and text[j] in _DIGITS:
-                    j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise InputError(f"unexpected character {ch!r} in expression")
+    tokens = _TOKEN.findall(text)
+    for tok in tokens:
+        if tok[0] not in _STARTS and not tok[0].isalpha():
+            raise InputError(f"unexpected character {tok[0]!r} in expression")
     return tokens
+
+
+def _lowest(part, den):
+    """``part`` over ``den`` with the gcd of ``den`` and every int divided out."""
+    if den != 1:
+        g = gcd(den, *part.values())
+        if g != 1:
+            return {m: c // g for m, c in part.items()}, den // g
+    return part, den
 
 
 def parse_expression(ring, text):
@@ -303,33 +297,42 @@ def parse_expression(ring, text):
             f"expression has {len(text)} characters; at most {MAX_EXPRESSION_CHARS} are allowed"
         )
     tokens = _tokenize(text)
+    tokens.append(None)  # the end; no parse step moves past it
     pos = 0
     depth = 0
     pairs = 0
     dim = ring.dim
     width = len(ring.gens)
-    one = (0, 0, {(0,) * width: Fraction(1)})
+    one = (0, 0, {(0,) * width: 1}, 1)
 
-    def checked(low, high, part):
-        if any(_bits(c) > MAX_COEFFICIENT_BITS for c in part.values()):
-            raise _coefficient_too_large()
-        return low, high, part
+    def checked(low, high, part, den):
+        # a common den can pass the limit while each coefficient in lowest
+        # terms, c/g over den/g with g = gcd(c, den), stays within
+        if max(map(int.bit_length, (den, *part.values()))) > MAX_COEFFICIENT_BITS:
+            for c in part.values():
+                g = gcd(c, den)
+                if max((c // g).bit_length(), (den // g).bit_length()) > MAX_COEFFICIENT_BITS:
+                    raise _coefficient_too_large()
+        return low, high, part, den
 
     def negated(a):
         if a is None or a[2] is None:
             return a
-        return a[0], a[1], {m: -c for m, c in a[2].items()}
+        return a[0], a[1], {m: -c for m, c in a[2].items()}, a[3]
 
     def plus(a, b):
         if a is None or b is None:
             return b if a is None else a
         low, high = min(a[0], b[0]), max(a[1], b[1])
         if low != high or low > dim:
-            return low, high, None
-        part = dict(a[2])
+            return low, high, None, 1
+        den = lcm(a[3], b[3])
+        scale = den // b[3]
+        part = dict(a[2]) if den == a[3] else {m: c * (den // a[3]) for m, c in a[2].items()}
         for mono, coeff in b[2].items():
+            coeff *= scale
             part[mono] = part[mono] + coeff if mono in part else coeff
-        return checked(low, high, _clean(part))
+        return checked(low, high, *_lowest(_clean(part), den))
 
     def times(a, b):
         nonlocal pairs
@@ -337,16 +340,26 @@ def parse_expression(ring, text):
             return None
         low, high = a[0] + b[0], a[1] + b[1]
         if low != high or low > dim:
-            return low, high, None
+            return low, high, None, 1
         pairs += len(a[2]) * len(b[2])
         if pairs > MAX_PRODUCT_PAIRS:
             raise InputError(
                 f"expression needs more than {MAX_PRODUCT_PAIRS} monomial products "
                 "below the ring dimension"
             )
-        part = _pmul(a[2], b[2])
+        part, den = _pmul(a[2], b[2]), a[3] * b[3]
         # a constant times a normal form is one
-        return checked(low, high, part if not a[0] or not b[0] else ring._reduce(part))
+        if a[0] and b[0]:
+            part = ring._reduce(part)
+            if any(type(c) is not int for c in part.values()):
+                # an L2 or mu rule may be a Fraction: scale back to ints
+                scale = lcm(*(c.denominator for c in part.values() if type(c) is not int))
+                part = {
+                    m: c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+                    for m, c in part.items()
+                }
+                den *= scale
+        return checked(low, high, *_lowest(part, den))
 
     def power(a, n):
         if n == 0:
@@ -355,15 +368,15 @@ def parse_expression(ring, text):
             return None
         low, high = n * a[0], n * a[1]
         if low != high or low > dim:
-            return low, high, None
+            return low, high, None, 1
         if not a[2]:
-            return low, high, {}
+            return low, high, {}, 1
         if low == 0:
-            # a constant: one Fraction power, whose size is known beforehand
+            # a constant in lowest terms: its power's size is known beforehand
             ((mono, coeff),) = a[2].items()
-            if n * (_bits(coeff) - 1) >= MAX_COEFFICIENT_BITS:
+            if n * (max(coeff.bit_length(), a[3].bit_length()) - 1) >= MAX_COEFFICIENT_BITS:
                 raise _coefficient_too_large()
-            return 0, 0, {mono: coeff**n}
+            return 0, 0, {mono: coeff**n}, a[3] ** n
         # n <= dim here: square and multiply
         result = None
         while True:
@@ -374,38 +387,36 @@ def parse_expression(ring, text):
                 return result
             a = times(a, a)
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
     def parse_sum():
-        negate = peek() in ("+", "-") and take() == "-"
+        nonlocal pos
+        sign = tokens[pos]
+        if sign == "+" or sign == "-":
+            pos += 1
         total = parse_term()
-        if negate:
+        if sign == "-":
             total = negated(total)
-        while peek() in ("+", "-"):
-            term = negated(parse_term()) if take() == "-" else parse_term()
-            total = plus(total, term)
-        return total
+        while True:
+            sign = tokens[pos]
+            if sign != "+" and sign != "-":
+                return total
+            pos += 1
+            term = parse_term()
+            total = plus(total, negated(term) if sign == "-" else term)
 
     def parse_term():
+        nonlocal pos
         value = parse_factor()
-        while peek() == "*":
-            take()
+        while tokens[pos] == "*":
+            pos += 1
             value = times(value, parse_factor())
         return value
 
     def parse_factor():
+        nonlocal pos
         base = parse_atom()
-        if peek() != "^":
+        if tokens[pos] != "^":
             return base
-        take()
-        tok = take()
+        tok = tokens[pos + 1]
         if tok is None or not tok.isdigit():
             raise InputError("exponent must be a nonnegative integer")
         if len(tok) > MAX_EXPONENT_DIGITS:
@@ -413,39 +424,51 @@ def parse_expression(ring, text):
                 f"exponent {tok[:20]}... has {len(tok)} digits; "
                 f"at most {MAX_EXPONENT_DIGITS} are allowed"
             )
+        pos += 2
         return power(base, int(tok))
 
     def parse_atom():
-        nonlocal depth
-        tok = take()
+        nonlocal depth, pos
+        tok = tokens[pos]
         if tok is None:
             raise InputError("expression ended unexpectedly")
+        pos += 1
         if tok == "(":
             depth += 1
             if depth > MAX_NESTING:
                 raise InputError(f"parentheses nest more than {MAX_NESTING} deep")
             inner = parse_sum()
-            if take() != ")":
+            if tokens[pos] != ")":
                 raise InputError("missing closing parenthesis")
+            pos += 1
             depth -= 1
             return inner
         if tok[0] in _DIGITS:
-            coeff = parse_rational(tok)
-            return checked(0, 0, {(0,) * width: coeff}) if coeff else None
+            num, _, den = tok.partition("/")
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError:  # more digits than int() reads
+                den = 0
+            if not den:
+                raise InputError(f"malformed rational: {_echo(tok)}")
+            if not num:
+                return None
+            g = gcd(num, den)
+            return checked(0, 0, {(0,) * width: num // g}, den // g)
         if tok in ring.gens:
             i = ring.gens.index(tok)
             d = ring.gen_degrees[i]
             mono = tuple(int(j == i) for j in range(width))
-            return d, d, {mono: Fraction(1)} if d <= dim else None
+            return d, d, {mono: 1} if d <= dim else None, 1
         raise InputError(f"unknown generator {_echo(tok)}; ring has {', '.join(ring.gens)}")
 
     value = parse_sum()
-    if pos != len(tokens):
+    if tokens[pos] is not None:
         raise InputError(f"unexpected token {_echo(tokens[pos])}")
     if value is None:
         return ParsedPoly({}, (0, 0))
-    low, high, part = value
-    return ParsedPoly(part or {}, (low, high))
+    low, high, part, den = value
+    return ParsedPoly({m: Fraction(c, den) for m, c in part.items()} if part else {}, (low, high))
 
 
 # ---------------------------------------------------------------------------

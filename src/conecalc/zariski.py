@@ -129,7 +129,7 @@ class ReductionStep(Record):
     def from_json(cls, obj, from_bundle):
         try:
             factor = obj["factor"]
-            mult = parse_rational(obj["mult"])
+            mult = parse_rational(obj["mult"], max_bits=None)
             to_bundle = HNCurveBundle.from_json(obj["to"])
         except (KeyError, TypeError):
             raise InputError("malformed reduction step record") from None
@@ -182,10 +182,10 @@ class ZariskiCertificate(Record):
     @classmethod
     def from_json(cls, obj, first, second):
         try:
-            input_coords = parse_coords(obj["input"])
+            input_coords = parse_coords(obj["input"], max_bits=None)
             step_objs = parse_records(obj["steps"])
             terminal = obj["terminal"]
-            p_coords = parse_coords(obj["P"])
+            p_coords = parse_coords(obj["P"], max_bits=None)
             n_objs = parse_records(obj["N"])
             verified = parse_bool(obj["verified"])
         except (KeyError, TypeError):
@@ -206,8 +206,8 @@ class ZariskiCertificate(Record):
         N = []
         for entry in n_objs:
             try:
-                gen_coords = parse_coords(entry["gen"])
-                coeff = parse_rational(entry["coeff"])
+                gen_coords = parse_coords(entry["gen"], max_bits=None)
+                coeff = parse_rational(entry["coeff"], max_bits=None)
             except (KeyError, TypeError):
                 raise InputError("malformed effective-part record") from None
             N.append((_divisor(gen_coords), coeff))

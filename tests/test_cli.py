@@ -443,6 +443,9 @@ def test_a_huge_bad_value_is_echoed_briefly(tmp_path, capsys):
 
 
 LONG = "x" * 100_000
+# Python 3.11 and later write an int of at most 4300 digits
+BIG = "9" * 4000
+WIDE = f"{2**1024 - 1}/{2**1024 - 3}"
 # an expression past the parser's length cap is refused before it is read,
 # so the longest value a parser message can echo is just under the cap
 LONG_NAME = "y" * MAX_EXPRESSION_CHARS
@@ -481,6 +484,34 @@ ECHO_SITES = {
     "unexpected token": (
         CURVE_WS, ["ring", "eval", "xi " + LONG_NAME[3:]], "unexpected token 'yyy"
     ),
+    # a string is the workspace path itself, which no file has
+    "workspace path": (LONG, ["cone", "nef"], "workspace: cannot read file 'xxx"),
+    # past the rational bound as a string or a JSON int, and as the base form
+    "rational text": (
+        {**RHO1_WS, "bundles": [{**RHO1_WS["bundles"][0], "c1": [BIG]}]},
+        ["cone", "nef"],
+        "bundles[0]: rational has 13288 bits",
+    ),
+    "rational int": (
+        {**RHO1_WS, "bundles": [{**RHO1_WS["bundles"][0], "c1": [int(BIG)]}]},
+        ["cone", "nef"],
+        "bundles[0]: rational has 13288 bits",
+    ),
+    "base form": (
+        {**RHO1_WS, "base": {"kind": "surface_rho1", "L2": BIG}},
+        ["cone", "nef"],
+        "base.L2: rational has 13288 bits",
+    ),
+    # the widest c2(End) that rationals within the bound give
+    "c2(End)": (
+        {
+            **RHO1_WS,
+            "base": {"kind": "surface_rho1", "L2": WIDE},
+            "bundles": [{**RHO1_WS["bundles"][0], "rank": 24, "c1": ["-" + WIDE], "c2": WIDE}],
+        },
+        ["cone", "nef"],
+        "space: invalid preset: 2r*c2 - (r-1)*c1^2 must vanish, got ",
+    ),
 }
 
 
@@ -489,7 +520,9 @@ ECHO_SITES = {
 def test_every_exit_2_echo_is_bounded(tmp_path, capsys, site, json_output):
     workspace, command, fragment = ECHO_SITES[site]
     argv = ["--json"] if json_output else []
-    if workspace is not None:
+    if isinstance(workspace, str):
+        argv += ["-w", workspace]
+    elif workspace is not None:
         argv += ["-w", ws_file(tmp_path, workspace)]
     code, out = run(capsys, argv + command)
     assert code == 2
@@ -620,7 +653,7 @@ FUZZ_BASES = _parseable_workspaces()
 # below descends into, so the shared value stays as it is
 FUZZ_VALUES = (
     (None, True, False, 0, 1, -1, 2, 7, 2.5, "1/2", "110", [], {}, 24, 25, 400, 10**6)
-    + ("x" * 100_000, tuple(range(100_000)))
+    + ("x" * 100_000, tuple(range(100_000)), BIG)
 )
 # an exit-2 message is at most this many bytes, whatever the input
 MAX_ERROR_BYTES = 512

@@ -15,6 +15,7 @@ from conecalc.rationals import (
     parse_rational,
     parse_records,
 )
+from conecalc.rationals import MAX_RATIONAL_BITS
 
 
 def test_parse_integers_and_fractions():
@@ -53,6 +54,24 @@ def test_parse_keeps_sign_and_surrounding_whitespace():
     assert parse_rational(" +3/4\n") == Fraction(3, 4)
     assert parse_rational("\t-12") == -12
     assert parse_rational("007/014") == Fraction(1, 2)
+
+
+def test_parse_bounds_numerator_and_denominator_bits():
+    bits = MAX_RATIONAL_BITS
+    for value in (2 ** (bits - 1), -(2**bits - 1), Fraction(1, 2**bits - 1)):
+        assert parse_rational(value) == value
+        assert parse_rational(format_rational(value)) == value
+    message = (
+        f"rational has {bits + 1} bits in numerator or denominator; "
+        f"at most {bits} are allowed"
+    )
+    for value in (2**bits, -(2**bits), f"1/{2 ** bits}", f"{2 ** bits}/3", Fraction(2**bits, 3)):
+        with pytest.raises(InputError) as err:
+            parse_rational(value)
+        assert str(err.value) == message
+    # no echo: an int this long is too long for repr() on Python 3.11 and later
+    with pytest.raises(InputError, match="^rational has 16610 bits"):
+        parse_rational(10**5000)
 
 
 def test_format_canonical():

@@ -477,13 +477,16 @@ CEILING_RINGS = (
     build_fibre_product_ring(2, 2, 1, -1),
     build_lambda_ring_surface(rho1_preset(3, 2, 1)),
     build_lambda_ring_surface(ruled_preset(2, Fraction(1, 2), (1, 1))),
+    # fractional rules: piL^2 = 3/2*F, and piEta^2 = 2/3*F
+    build_lambda_ring_surface(rho1_preset(3, Fraction(3, 2), 1)),
+    build_lambda_ring_surface(ruled_preset(3, Fraction(1, 3), (1, 1))),
 )
 
 
 def _expression_trees(ring):
     above = st.sampled_from(range(ring.dim + 1, ring.dim + 4))
     leaves = st.one_of(
-        st.sampled_from(ring.gens * 2 + ("0", "1", "1/2", "-3")),
+        st.sampled_from(ring.gens * 2 + ("0", "1", "1/2", "-3", "3/4", "-5/6")),
         st.tuples(st.just("^"), st.sampled_from(ring.gens), above),
     )
 
@@ -572,7 +575,7 @@ def _reduce_below_dimension(self, poly):
     return REDUCE(self, poly)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_ceiling_parser_matches_full_expansion(data):
     """Reducing each product as it is built gives what one reduction of the
@@ -591,6 +594,20 @@ def test_ceiling_parser_matches_full_expansion(data):
     # the reference reduces once, at the end
     want = REDUCE(ring, _full_expansion(ring, tree)) if low <= ring.dim else {}
     assert got == NumClass(ring.gens, low, want).to_json(), text
+
+
+def test_fractional_rules_give_exact_coefficients():
+    """Products that a Fraction rule rewrites, against one reduction of the
+    full expansion."""
+    rho1 = CEILING_RINGS[4]
+    tree = ("^", ("+", ("*", "3/4", "lambda"), ("*", "5/6", "piL")), 4)
+    want = NumClass(rho1.gens, 4, REDUCE(rho1, _full_expansion(rho1, tree))).to_json()
+    assert want == {"degree": 4, "terms": [{"monomial": "lambda^2*F", "coeff": "225/64"}]}
+    assert rho1.normal_form(_render(tree)).to_json() == want
+    ruled = CEILING_RINGS[5]
+    tree = ("*", ("^", ("+", ("*", "3/4", "piEta"), "piF"), 2), ("*", "-5/6", "lambda"))
+    want = NumClass(ruled.gens, 3, REDUCE(ruled, _full_expansion(ruled, tree))).to_json()
+    assert ruled.normal_form(_render(tree)).to_json() == want
 
 
 def test_ceiling_edge_cases():
@@ -650,6 +667,13 @@ def test_parser_limits():
     for text in (f"2^{bits}", f"2^{10 ** 40}", f"{2 ** (bits - 1)}*xi*{2 ** (bits - 1)}"):
         with pytest.raises(InputError, match="coefficient"):
             ring.normal_form(text)
+    # a common denominator past the limit, while each coefficient in lowest
+    # terms stays within it: two odd denominators that differ by 2 are coprime
+    p, q = 2**600 + 1, 2**600 - 1
+    assert ring.normal_form(f"1/{p}*xi + 1/{q}*zeta").coeffs == {
+        (1, 0, 0): Fraction(1, p),
+        (0, 1, 0): Fraction(1, q),
+    }
     # parts stay within the basis of their degree, so one top-degree power
     # on the largest fibre product answers, and a sum of eight reaches the cap
     big = build_fibre_product_ring(24, 24, 1, 2)
@@ -660,3 +684,58 @@ def test_parser_limits():
     for text in ("xi^\u00b2", "\u0662*xi", "xi^\u0662"):
         with pytest.raises(InputError, match="unexpected character"):
             ring.normal_form(text)
+
+
+# --- tokenizer: one regex against the character loop it replaced -----------
+
+
+def _char_loop_tokens(text):
+    digits = "0123456789"
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*^()":
+            tokens.append(ch)
+            i += 1
+        elif ch in digits:
+            j = i
+            while j < len(text) and text[j] in digits:
+                j += 1
+            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1] in digits:
+                j += 1
+                while j < len(text) and text[j] in digits:
+                    j += 1
+            tokens.append(text[i:j])
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise InputError(f"unexpected character {ch!r} in expression")
+    return tokens
+
+
+# ASCII letters, digits and operators; Unicode whitespace and letters;
+# digits and numerics of other scripts, which no number or name starts with
+TOKEN_ALPHABET = (
+    "aFix_0129/+-*^() \t\n$.," + "\u00a0\x1c\u2003" + "\u00e9\u03bb" + "\u0662\u00b2\u2167\u00bd"
+)
+
+
+def _outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except InputError as err:
+        return str(err)
+
+
+@settings(max_examples=500)
+@given(st.text(st.one_of(st.sampled_from(TOKEN_ALPHABET), st.characters()), max_size=24))
+def test_tokenizer_matches_the_character_loop(text):
+    assert _outcome(ring_module._tokenize, text) == _outcome(_char_loop_tokens, text)

@@ -262,12 +262,21 @@ def test_reduction_step_validation():
 
 
 def test_certificate_json_round_trip():
-    a = HNCurveBundle(4, 1, [(1, -2), (1, 0), (2, 3)])
-    b = HNCurveBundle(3, -1, [(1, -2), (2, 1)])
-    cert = decompose(a, b, (2, 3, 7))
-    back = ZariskiCertificate.from_json(cert.to_json(), a, b)
-    assert back.to_json() == cert.to_json()
-    assert verify(back, a, b).ok
+    # degrees past the workspace bound on rationals: the certificate reader
+    # reads back whatever this package writes
+    big = 2**1100
+    for a, b, cls in (
+        (
+            HNCurveBundle(4, 1, [(1, -2), (1, 0), (2, 3)]),
+            HNCurveBundle(3, -1, [(1, -2), (2, 1)]),
+            (2, 3, 7),
+        ),
+        (HNCurveBundle(2, 0, [(1, -big), (1, big)]), HNCurveBundle(2, 0), (1, 1, 0)),
+    ):
+        cert = decompose(a, b, cls)
+        back = ZariskiCertificate.from_json(cert.to_json(), a, b)
+        assert back.to_json() == cert.to_json()
+        assert verify(back, a, b).ok
 
 
 def test_certificates_build_no_ring(monkeypatch):
