@@ -7,7 +7,6 @@ selftest. Exit codes: 0 success, 1 negative answer to a yes/no question,
 2 invalid input, 3 internal invariant violation.
 """
 
-import argparse
 import json
 import os
 import re
@@ -26,6 +25,8 @@ from .rationals import _cut, _echo, format_rational, parse_rational
 # grows with rank; the worst cone or homog call at this rank takes about
 # 30 ms in-process (2-CPU Xeon, Python 3.11), and about 55 ms at rank 32.
 MAX_RANK = 24
+
+USAGE = "usage: conecalc [-w PATH] [--json] ring|cone|member|zariski|homog|selftest ..."
 
 
 class WorkspaceSpec:
@@ -387,12 +388,15 @@ def run_command(spec, command, json_output=False):
     """Dispatch one command list; returns (exit_code, output text)."""
     if not command:
         raise InputError(
-            "no command given; expected ring, cone, member, zariski, homog "
-            "or selftest"
+            "no command given; expected ring, cone, member, zariski, homog or selftest"
         )
     head, *rest = command
+    if head in ("-h", "--help"):
+        return 0, USAGE
     if head == "selftest":
         return _cmd_selftest(json_output)
+    if head.startswith("-"):
+        raise InputError(f"unknown flag {_cut(head)}")
     if spec is None:
         raise InputError(f"command {_echo(head)} needs a workspace file (-w PATH)")
     handlers = {
@@ -408,27 +412,23 @@ def run_command(spec, command, json_output=False):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="conecalc",
-        description="Exact nef/pseudoeffective cone calculator for "
-        "projectivized bundles and their fibre products.",
-    )
-    parser.add_argument("-w", "--workspace", help="workspace JSON file")
-    parser.add_argument("--json", action="store_true", help="JSON output")
-    parser.add_argument("command", nargs=argparse.REMAINDER)
-    args = parser.parse_args(argv)
-    command = [t for t in args.command if t != "--json"]
-    json_output = args.json or "--json" in args.command
+    """Run one call and return its exit code: ``-w PATH`` first, ``--json`` anywhere."""
+    argv = sys.argv[1:] if argv is None else argv
+    json_output = "--json" in argv
+    command = [t for t in argv if t != "--json"]
     try:
-        spec = None
-        if args.workspace:
+        spec = path = None
+        while command[:1] in (["-w"], ["--workspace"]):
+            if len(command) < 2:
+                raise InputError(f"flag {command[0]} needs a value")
+            path, command = command[1], command[2:]
+        if path:
             try:
-                with open(args.workspace, "rb") as handle:
+                with open(path, "rb") as handle:
                     raw = handle.read()
             except OSError as err:
-                raise InputError(
-                    f"workspace: cannot read file {_echo(args.workspace)} ({err.strerror})"
-                ) from None
+                reason = f"cannot read file {_echo(path)} ({err.strerror})"
+                raise InputError(f"workspace: {reason}") from None
             spec = parse_workspace(raw)
         code, text = run_command(spec, command, json_output)
     except InputError as err:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-from .rationals import as_fraction, format_rational
+from .rationals import as_fraction, format_linear, format_rational
 from .record import Record
 
 MAX_DIM = 6
@@ -276,15 +276,5 @@ def inequality_text(kind, normal, labels):
     """A violated constraint from ``violated_constraint`` as text, one label
     per coordinate: 'a - 2*c >= 0' for a facet, '... = 0' for a span
     equation."""
-    parts = []
-    for coef, label in zip(normal, labels):
-        if coef == 0:
-            continue
-        if coef == 1:
-            parts.append(label)
-        elif coef == -1:
-            parts.append(f"-{label}")
-        else:
-            parts.append(f"{format_rational(coef)}*{label}")
-    lhs = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    lhs = format_linear(zip(normal, labels))
     return f"{lhs} = 0" if kind == "span" else f"{lhs} >= 0"

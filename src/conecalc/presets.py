@@ -9,7 +9,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import InputError, InternalError
-from .rationals import _cut, format_rational
+from .rationals import _cut, format_linear, format_rational
 from .record import Record
 
 
@@ -61,21 +61,7 @@ class NumClass(Record):
         }
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for mono, coeff in self.terms():
-            name = format_monomial(self.gens, mono)
-            if name == "1":
-                parts.append(format_rational(coeff))
-            elif coeff == 1:
-                parts.append(name)
-            elif coeff == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{format_rational(coeff)}*{name}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return format_linear((c, format_monomial(self.gens, m)) for m, c in self.terms())
 
 
 # shared by every absent coefficient; a Fraction is immutable

@@ -98,3 +98,22 @@ def format_rational(value):
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_linear(terms):
+    """A sum of ``(coefficient, label)`` terms as text, 'xi - 1/2*F': zero
+    terms are skipped, the label '1' marks a constant, and an empty sum
+    reads '0'."""
+    parts = []
+    for coef, label in terms:
+        if coef == 0:
+            continue
+        if label == "1":
+            parts.append(format_rational(coef))
+        elif coef == 1:
+            parts.append(label)
+        elif coef == -1:
+            parts.append(f"-{label}")
+        else:
+            parts.append(f"{format_rational(coef)}*{label}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"

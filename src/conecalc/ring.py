@@ -462,7 +462,11 @@ def parse_expression(ring, text):
             return d, d, {mono: 1} if d <= dim else None, 1
         raise InputError(f"unknown generator {_echo(tok)}; ring has {', '.join(ring.gens)}")
 
-    value = parse_sum()
+    try:
+        value = parse_sum()
+    finally:
+        # parse_atom reaches parse_sum through a cell: break the closures' cycle
+        parse_sum = None
     if tokens[pos] is not None:
         raise InputError(f"unexpected token {_echo(tokens[pos])}")
     if value is None:

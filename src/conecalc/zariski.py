@@ -18,7 +18,8 @@ from .cones import inequality_text, primitive
 from .errors import InputError, InternalError
 from .presets import NumClass, SpacePreset
 from .rationals import (
-    _echo, as_fraction, format_rational, parse_bool, parse_coords, parse_rational, parse_records
+    _echo, as_fraction, format_linear, format_rational, parse_bool, parse_coords, parse_rational,
+    parse_records
 )
 from .record import Record
 
@@ -77,14 +78,6 @@ def _terminal_shaped(bundle):
 def _terminal_label(first, second):
     unstable = (not first.semistable) + (not second.semistable)
     return TERMINAL_CASES[unstable]
-
-
-def _axis_label(name, mu):
-    if mu == 0:
-        return name
-    if mu > 0:
-        return f"{name} - {format_rational(mu)}*F"
-    return f"{name} + {format_rational(-mu)}*F"
 
 
 class ReductionStep(Record):
@@ -256,8 +249,8 @@ def terminal_decompose(first, second, cls):
     mu2 = bn.mu_max(second)
     c_top = c + a * mu1 + b * mu2
     expansion = (
-        (a, _axis_label("xi", mu1)),
-        (b, _axis_label("zeta", mu2)),
+        (a, format_linear(((1, "xi"), (-mu1, "F")))),
+        (b, format_linear(((1, "zeta"), (-mu2, "F")))),
         (c_top, "F"),
     )
     for value, label in expansion:

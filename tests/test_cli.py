@@ -475,6 +475,9 @@ ECHO_SITES = {
         "space.kind: unknown space kind 'xxx",
     ),
     "class name": ({**CURVE_WS, "classes": {LONG: "1,0"}}, ["cone", "nef"], "classes['xxx"),
+    # an unknown flag before the command, with no workspace and after one
+    "leading flag": (None, ["--" + LONG, "cone", "nef"], "unknown flag --xxx"),
+    "leading flag after -w": (CURVE_WS, ["--" + LONG, "cone", "nef"], "unknown flag --xxx"),
     "unknown flag": (CURVE_WS, ["cone", "nef", "--" + LONG], "unknown flag --xxx"),
     # this message names an allowed flag only, whatever else argv holds
     "flag value": (CURVE_WS, ["cone", "nef", LONG, "--k"], "flag --k needs a value"),
@@ -529,6 +532,36 @@ def test_every_exit_2_echo_is_bounded(tmp_path, capsys, site, json_output):
     assert len(out.encode()) <= 512, out[:200]
     message = json.loads(out)["error"] if json_output else out
     assert fragment in message
+
+
+FIBRE_FILE = os.path.join(WORKSPACES, "fibre.json")
+
+
+@pytest.mark.parametrize(
+    "argv, want, message",
+    [
+        ([], 2, "no command given"),
+        (["-w"], 2, "flag -w needs a value"),
+        (["--json", "-w"], 2, "flag -w needs a value"),
+        (["-h"], 0, None),
+        (["--help"], 0, None),
+        (["--bogus", "cone", "nef"], 2, "unknown flag --bogus"),
+        # no prefix of --json or --workspace stands for it
+        (["-w", FIBRE_FILE, "--js", "cone", "nef"], 2, "unknown flag --js"),
+    ],
+    ids=["none", "-w", "--json -w", "-h", "--help", "--bogus", "--js"],
+)
+def test_argv_is_read_into_an_exit_code(capsys, argv, want, message):
+    # main returns the code of every argv, and writes nothing to stderr
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (want, "")
+    if message is None:
+        assert out == cli.USAGE + "\n" and out.startswith("usage: conecalc ")
+    elif "--json" in argv:
+        assert json.loads(out)["error"].startswith(message)
+    else:
+        assert out.startswith(f"error: {message}")
 
 
 def test_bundle_rank_cap_is_path_addressed(tmp_path, capsys):

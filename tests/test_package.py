@@ -160,10 +160,16 @@ def _added_modules(argv):
 
 
 def test_cli_call_imports_only_what_its_command_needs():
-    added = _added_modules(["-w", FIBRE_WS, "cone", "nef"])
+    seen = []
+
+    def added_modules(argv):
+        seen.append(_added_modules(argv))
+        return seen[-1]
+
+    added = added_modules(["-w", FIBRE_WS, "cone", "nef"])
     assert {"conecalc.cli", "conecalc.catalog"} <= added
     assert not {"dataclasses", "inspect", "conecalc.zariski", "conecalc.selftest"} & added
-    added = _added_modules(["-w", FIBRE_WS, "ring", "eval", "xi*zeta"])
+    added = added_modules(["-w", FIBRE_WS, "ring", "eval", "xi*zeta"])
     assert "conecalc.ring" in added and "conecalc.catalog" not in added
     # presets and classes need no rewriting engine: curve-side cones and
     # membership, decompositions and invalid workspaces never load the ring
@@ -172,8 +178,13 @@ def test_cli_call_imports_only_what_its_command_needs():
         ["-w", CURVE_WS, "member", "1,-5"],
         ["-w", FIBRE_WS, "zariski", "1,1,0"],
     ):
-        assert "conecalc.ring" not in _added_modules(argv)
-    added = _added_modules(["-w", BAD_JSON_WS, "cone", "psef"])
+        assert "conecalc.ring" not in added_modules(argv)
+    added = added_modules(["-w", BAD_JSON_WS, "cone", "psef"])
     assert not {"conecalc.ring", "conecalc.catalog"} & added
     # first-principles surface cones in codimension 2 do
-    assert "conecalc.ring" in _added_modules(["-w", RHO1_WS, "cone", "nef", "--k", "2"])
+    assert "conecalc.ring" in added_modules(["-w", RHO1_WS, "cone", "nef", "--k", "2"])
+    # argv is read without argparse, and so without the gettext it loads,
+    # also where argv itself is the error or asks for help
+    added_modules(["--json", "-w"])
+    added_modules(["-h"])
+    assert not any({"argparse", "gettext"} & added for added in seen)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conecalc.errors import InputError
 from conecalc.rationals import (
+    format_linear,
     format_rational,
     parse_bool,
     parse_coords,
@@ -79,6 +80,14 @@ def test_format_canonical():
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(Fraction(8, 4)) == "2"
     assert format_rational(0) == "0"
+
+
+def test_format_linear():
+    # zero terms vanish, '1' marks a constant, unit coefficients print bare
+    terms = [(Fraction(-1, 2), "a"), (0, "b"), (1, "c"), (-1, "d"), (3, "1")]
+    assert format_linear(terms) == "-1/2*a + c - d + 3"
+    assert format_linear([(-2, "1"), (-1, "xi")]) == "-2 - xi"
+    assert format_linear([(0, "xi"), (0, "1")]) == format_linear([]) == "0"
 
 
 @given(st.fractions())

@@ -1,5 +1,6 @@
 """Intersection rings: published product tables, normal forms, bases."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import product
@@ -658,6 +659,26 @@ def test_parser_limits():
         ring.normal_form("(" * (depth + 1) + "xi" + ")" * (depth + 1))
     with pytest.raises(InputError, match="nest"):
         ring.normal_form("(" * 3000 + "xi" + ")" * 3000)
+
+
+def test_parsing_leaves_no_cycle_for_the_collector():
+    # a parse, whether it succeeds or fails, frees everything by reference count
+    ring = build_fibre_product_ring(2, 2, 0, 1)
+    ring.normal_form("(xi+zeta)^2")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            ring.normal_form("(xi+zeta)^2")
+        assert gc.collect() == 0
+        for _ in range(100):
+            try:
+                ring.normal_form("(xi+eta")
+            except InputError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
     chars = ring_module.MAX_EXPRESSION_CHARS
     assert str(ring.normal_form(" " * (chars - 2) + "xi")) == "xi"
     with pytest.raises(InputError, match="characters"):

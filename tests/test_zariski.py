@@ -131,6 +131,23 @@ def test_terminal_decompose_rejects_outside_cone():
         terminal_decompose(LADDER3, SS2, (1, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "first, second, cls, label",
+    [
+        # mu_max = 1 writes 'xi - F', not 'xi - 1*F'
+        (UN2, SS2, (-1, 0, 5), "xi - F is -1"),
+        (HNCurveBundle(2, -3, [(1, -2), (1, -1)]), SS2, (-1, 0, 0), "xi + F is -1"),
+        (HNCurveBundle(2, 1), SS2, (-2, 0, 0), "xi - 1/2*F is -2"),
+        (SS2, HNCurveBundle(2, 0, [(1, -2), (1, 2)]), (0, -1, 0), "zeta - 2*F is -1"),
+        (SS2, SS2, (0, -1, 0), "zeta is -1"),
+    ],
+)
+def test_terminal_decompose_names_the_negative_expansion_term(first, second, cls, label):
+    with pytest.raises(InputError) as err:
+        terminal_decompose(first, second, cls)
+    assert str(err.value) == f"class is not pseudoeffective: expansion coefficient of {label}"
+
+
 def test_decompose_case_one_worked_example():
     cert = decompose(UN2, SS2, (1, 1, 0))
     assert cert.to_json() == {
