@@ -8,7 +8,9 @@ ladders are caller-supplied input and only their shape is validated.
 from fractions import Fraction
 
 from .errors import InputError
-from .rationals import format_rational, parse_bool, parse_coords, parse_int, parse_rational
+from .rationals import (
+    MAX_RATIONAL_BITS, format_rational, parse_bool, parse_coords, parse_int, parse_rational,
+)
 from .record import Record
 
 
@@ -72,18 +74,22 @@ class HNCurveBundle(Record):
         }
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, obj, max_bits=MAX_RATIONAL_BITS):
+        """The bundle of a JSON record; ``max_bits`` bounds each integer, and
+        ``None`` lifts the bound, as the certificate reader does."""
         if not isinstance(obj, dict):
             raise InputError("bundle record must be a JSON object")
         try:
-            rank = parse_int(obj["rank"])
-            degree = parse_int(obj["degree"])
+            rank = parse_int(obj["rank"], max_bits)
+            degree = parse_int(obj["degree"], max_bits)
         except KeyError:
             raise InputError("bundle record needs integer rank and degree") from None
         quotients = obj.get("hn")
         if quotients is not None:
             try:
-                quotients = tuple((parse_int(r), parse_int(d)) for r, d in quotients)
+                quotients = tuple(
+                    (parse_int(r, max_bits), parse_int(d, max_bits)) for r, d in quotients
+                )
             except (TypeError, ValueError):
                 raise InputError("hn must be a list of [rank, degree] pairs") from None
         name = obj.get("name", "E")

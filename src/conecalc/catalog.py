@@ -7,6 +7,7 @@ nef divisor generators on one side, pairing duality on the other) and so
 serves as the constructors' oracle.
 """
 
+from functools import lru_cache
 from math import lcm
 from operator import add
 
@@ -15,7 +16,7 @@ from .cones import Pairing, RationalCone, primitive
 from .errors import InputError, InternalError
 from .presets import (
     FIBRE_PRODUCT_OVER_CURVE, PROJ_BUNDLE_OVER_CURVE, PROJ_BUNDLE_OVER_RULED_SURFACE,
-    PROJ_BUNDLE_OVER_SURFACE_RHO1, SpacePreset,
+    PROJ_BUNDLE_OVER_SURFACE_RHO1, _KINDS, SpacePreset, _require_c2_end_zero,
 )
 from .record import Record
 
@@ -165,21 +166,40 @@ def homogeneity_cones(preset, k):
     The pseudoeffective side is the nonnegative span of all degree-k
     products of nef divisor generators; the nef side is the dual of the
     complementary-degree pseudoeffective cone under the exact intersection
-    pairing. Products are built degree by degree, each reduced degree-d
-    product times one divisor giving the degree-(d+1) ones, and a product
-    that reduces to zero is pruned with everything that would extend it.
-    Returns (psef, nef, basis labels). Built independently of the
+    pairing. Returns (psef, nef, basis labels). Built independently of the
     closed-form constructors so it can act as their oracle.
-    """
-    from .ring import _pmul, build_lambda_ring_surface
 
-    preset.surface()
+    The preset is checked on every call (a surface base, 1 <= k < rank,
+    c2(End) = 0); the cones depend only on its kind, rank and base
+    parameter (L2 or mu), so they are memoized per (kind, rank, base
+    parameter, k), at most 8 entries. The cones returned are shared between
+    callers: treat them as read-only.
+    """
+    spec = preset.surface()
     r = preset.rank
     if not 1 <= k <= r - 1:
         raise InputError(f"k out of range 1..{r - 1}")
+    _require_c2_end_zero(preset)
+    return _derived_cones(preset.kind, r, getattr(preset, spec.param), k)
+
+
+def _balanced(spec, rank, param):
+    """The c1 = 0, c2 = 0 preset of a surface kind record, rank and base parameter."""
+    return spec.from_base(rank, param, (0,) * len(spec.divisors), 0)
+
+
+@lru_cache(maxsize=8)
+def _derived_cones(kind, rank, param, k):
+    """``homogeneity_cones`` of the c1 = 0 preset of this kind, rank and base
+    parameter. Products are built degree by degree, each reduced degree-d
+    product times one divisor giving the degree-(d+1) ones, and a product
+    that reduces to zero is pruned with everything that would extend it."""
+    from .ring import _pmul, build_lambda_ring_surface
+
+    preset = _balanced(_KINDS[kind], rank, param)
     ring = build_lambda_ring_surface(preset)
     divisors = _nef_divisor_generators(preset, ring)
-    k2 = (r + 1) - k
+    k2 = (rank + 1) - k
     # layers[d]: reduced nonzero degree-d products keyed by their nondecreasing
     # divisor indices, so each multiset is built once; normal forms respect
     # products, so reducing the prefix first gives the same class. Every
@@ -244,12 +264,11 @@ def surface_cone_report(preset, k):
     cone of ``homogeneity_cones``; the nef side is that function's pairing
     dual, so the report's equality flag is evidence, not fiat.
     """
-    spec = preset.surface()
+    psef, nef, labels = homogeneity_cones(preset, k)
     if k != 1:
         # the cones depend only on rank and L2/mu; k > 1 reports name the c1 = 0 preset
-        zeros = (0,) * len(spec.divisors)
-        preset = spec.from_base(preset.rank, getattr(preset, spec.param), zeros, 0)
-    psef, nef, labels = homogeneity_cones(preset, k)
+        spec = preset.surface()
+        preset = _balanced(spec, preset.rank, getattr(preset, spec.param))
     closed = RationalCone(len(labels), _CLOSED_FORMS[preset.kind](preset, k))
     if psef != closed:
         raise InternalError("closed-form cone drifted from the product cone")

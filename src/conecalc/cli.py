@@ -422,7 +422,7 @@ def main(argv=None):
             if len(command) < 2:
                 raise InputError(f"flag {command[0]} needs a value")
             path, command = command[1], command[2:]
-        if path:
+        if path is not None:
             try:
                 with open(path, "rb") as handle:
                     raw = handle.read()

@@ -6,10 +6,10 @@ accepted on input for convenience; floats never are. Integers, booleans,
 coordinate lists and record lists are read strictly: a JSON integer where
 an int is due, a JSON bool where a flag is due, a JSON list where
 coordinates or records are due, and nothing that merely converts to one.
-A rational's numerator and denominator have at most ``MAX_RATIONAL_BITS``
-bits, so whatever is computed from a workspace still prints; the
-certificate reader lifts the bound, so that every certificate this package
-writes reads back.
+An integer, and a rational's numerator and denominator, have at most
+``MAX_RATIONAL_BITS`` bits, so whatever is computed from a workspace still
+prints; the certificate reader lifts the bound, so that every certificate
+this package writes reads back.
 """
 
 import re
@@ -66,10 +66,14 @@ def parse_rational(value, max_bits=MAX_RATIONAL_BITS):
     return value
 
 
-def parse_int(value):
+def parse_int(value, max_bits=MAX_RATIONAL_BITS):
     # bool is a subclass of int; a float or "2" only converts to one
     if type(value) is not int:
         raise InputError(f"malformed integer: {_echo(value)}")
+    if max_bits is not None and value.bit_length() > max_bits:
+        raise InputError(
+            f"integer has {value.bit_length()} bits; at most {max_bits} are allowed"
+        )
     return value
 
 

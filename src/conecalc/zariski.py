@@ -123,7 +123,7 @@ class ReductionStep(Record):
         try:
             factor = obj["factor"]
             mult = parse_rational(obj["mult"], max_bits=None)
-            to_bundle = HNCurveBundle.from_json(obj["to"])
+            to_bundle = HNCurveBundle.from_json(obj["to"], max_bits=None)
         except (KeyError, TypeError):
             raise InputError("malformed reduction step record") from None
         return cls(

@@ -12,6 +12,7 @@ from conecalc import bundles as bn
 from conecalc.bundles import HNCurveBundle
 from conecalc.catalog import (
     _curve_cone,
+    _derived_cones,
     fibre_product_cones,
     homogeneity_cones,
     iterated_fibre_product_cones,
@@ -23,6 +24,7 @@ from conecalc.catalog import (
 )
 from conecalc.cones import Pairing, RationalCone, _dd_rays, _dual_basis
 from conecalc.errors import InputError
+from conecalc.presets import PROJ_BUNDLE_OVER_SURFACE_RHO1
 from conecalc.ring import NumClass, SpacePreset, _pmul, build_lambda_ring_surface
 
 
@@ -399,6 +401,57 @@ def test_constructors_match_first_principles():
             ruled_report = surface_cone_report(ruled(rank, Fraction(-1, 2)), k)
             psef, nef, _ = homogeneity_cones(ruled(rank, Fraction(-1, 2)), k)
             assert ruled_report.psef == psef and ruled_report.nef == nef
+
+
+# --- the memo of the first-principles cones
+
+
+def test_one_derivation_serves_every_entry_point(monkeypatch):
+    from conecalc import ring
+
+    built = []
+    real = ring.build_lambda_ring_surface
+    monkeypatch.setattr(ring, "build_lambda_ring_surface", lambda p: built.append(p) or real(p))
+    _derived_cones.cache_clear()
+    # c1 != 0: the k > 1 report names the c1 = 0 preset, and shares its entry
+    preset = rho1(4, 5, 2)
+    for k in (1, 2):
+        homogeneity_cones(preset, k)
+        k_homogeneous_check(preset, k)
+        surface_cone_report(preset, k)
+    assert len(built) == 2
+    info = _derived_cones.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (4, 2, 8)
+
+
+def test_presets_apart_only_in_c1_and_c2_share_their_cones():
+    for plain, twisted, k in (
+        (rho1(3, 2), rho1(3, 2, 3), 1),
+        (ruled(4, Fraction(1, 2)), ruled(4, Fraction(1, 2), (2, 1)), 3),
+    ):
+        psef, nef, labels = homogeneity_cones(plain, k)
+        psef2, nef2, labels2 = homogeneity_cones(twisted, k)
+        assert labels == labels2
+        assert (psef.to_json(), nef.to_json()) == (psef2.to_json(), nef2.to_json())
+
+
+def test_every_check_runs_on_a_warm_memo():
+    good = rho1(3, 2)
+    for k in (1, 2):
+        homogeneity_cones(good, k)
+    # same kind, rank and L2 as the cached entry; 2r*c2 - (r-1)*c1^2 = 6
+    bad = SpacePreset(
+        PROJ_BUNDLE_OVER_SURFACE_RHO1, rank=3, L2=Fraction(2), e=Fraction(0), c2=Fraction(1)
+    )
+    for call in (homogeneity_cones, k_homogeneous_check, surface_cone_report):
+        for k in (1, 2):
+            with pytest.raises(InputError, match="must vanish, got 6$"):
+                call(bad, k)
+        for k in (0, 3):
+            with pytest.raises(InputError, match=r"^k out of range 1\.\.2$"):
+                call(good, k)
+        with pytest.raises(InputError, match="expected a surface-base preset"):
+            call(SpacePreset.curve(3, 0), 1)
 
 
 def test_report_json_shape():

@@ -463,11 +463,30 @@ ECHO_SITES = {
         ["cone", "nef"],
         "space.bundle: unknown bundle 'xxx",
     ),
-    # Python 3.11 and later write an int of at most 4300 digits
+    # within the 1024-bit bound of an integer, far above the rank cap
     "rank above the cap": (
-        {**CURVE_WS, "bundles": [{"name": "E", "rank": int("9" * 4000), "degree": 0}]},
+        {**CURVE_WS, "bundles": [{"name": "E", "rank": int("9" * 300), "degree": 0}]},
         ["cone", "nef"],
         "bundles[0].rank: rank 999",
+    ),
+    # past the integer bound as a rank, and as HN degrees whose slope times a
+    # 300-digit coordinate would be too long to print
+    "integer rank": (
+        {**CURVE_WS, "bundles": [{"name": "E", "rank": int(BIG), "degree": 0}]},
+        ["cone", "nef"],
+        "bundles[0]: integer has 13288 bits",
+    ),
+    "HN degrees": (
+        {
+            **FIBRE_WS,
+            "bundles": [
+                {"name": "E", "rank": 2, "degree": -2 * 10**4200,
+                 "hn": [[1, -1 - 10**4200], [1, 1 - 10**4200]]},
+                FIBRE_WS["bundles"][1],
+            ],
+        },
+        ["member", "9" * 300 + ",0,0"],
+        f"bundles[0]: integer has {(2 * 10**4200).bit_length()} bits",
     ),
     "space kind": (
         {**CURVE_WS, "space": {"kind": LONG}},
@@ -564,6 +583,13 @@ def test_argv_is_read_into_an_exit_code(capsys, argv, want, message):
         assert out.startswith(f"error: {message}")
 
 
+def test_an_empty_workspace_path_is_named(capsys):
+    for argv in (["-w", ""], ["--workspace", ""]):
+        code, out = run(capsys, argv + ["cone", "nef"])
+        assert code == 2
+        assert out.startswith("error: workspace: cannot read file '' (")
+
+
 def test_bundle_rank_cap_is_path_addressed(tmp_path, capsys):
     rank = cli.MAX_RANK
     workspace = copy.deepcopy(RHO1_WS)
@@ -584,9 +610,9 @@ def test_integer_too_long_to_convert_is_invalid_json(tmp_path, capsys):
     path.write_text(json.dumps(CURVE_WS).replace('"rank": 2', '"rank": ' + "1" * 5000))
     code, out = run(capsys, ["-w", str(path), "cone", "nef"])
     # Python 3.11 and later refuse to convert the integer; 3.10 reads it and
-    # the rank cap refuses it
+    # the integer bound refuses it
     assert code == 2
-    assert out.startswith(("error: workspace: not valid JSON", "error: bundles[0].rank: "))
+    assert out.startswith(("error: workspace: not valid JSON", "error: bundles[0]: integer has "))
 
 
 def test_deeply_nested_workspace_is_invalid_json(tmp_path, capsys):

@@ -279,8 +279,8 @@ def test_reduction_step_validation():
 
 
 def test_certificate_json_round_trip():
-    # degrees past the workspace bound on rationals: the certificate reader
-    # reads back whatever this package writes
+    # degrees past the workspace bound on integers and rationals: the
+    # certificate reader reads back whatever this package writes
     big = 2**1100
     for a, b, cls in (
         (
@@ -289,6 +289,12 @@ def test_certificate_json_round_trip():
             (2, 3, 7),
         ),
         (HNCurveBundle(2, 0, [(1, -big), (1, big)]), HNCurveBundle(2, 0), (1, 1, 0)),
+        # one step, to a bundle whose degrees are past the bound on integers
+        (
+            HNCurveBundle(3, 2 * big, [(1, -big), (1, big), (1, 2 * big)]),
+            HNCurveBundle(2, 0),
+            (1, 1, 0),
+        ),
     ):
         cert = decompose(a, b, cls)
         back = ZariskiCertificate.from_json(cert.to_json(), a, b)
