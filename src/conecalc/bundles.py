@@ -86,12 +86,14 @@ class HNCurveBundle(Record):
             raise InputError("bundle record needs integer rank and degree") from None
         quotients = obj.get("hn")
         if quotients is not None:
-            try:
-                quotients = tuple(
-                    (parse_int(r, max_bits), parse_int(d, max_bits)) for r, d in quotients
-                )
-            except (TypeError, ValueError):
-                raise InputError("hn must be a list of [rank, degree] pairs") from None
+            # an object or a string unpacks like a pair, a key or character at a time
+            if not isinstance(quotients, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in quotients
+            ):
+                raise InputError("hn must be a list of [rank, degree] pairs")
+            quotients = tuple(
+                (parse_int(r, max_bits), parse_int(d, max_bits)) for r, d in quotients
+            )
         name = obj.get("name", "E")
         if not isinstance(name, str):
             raise InputError("bundle name must be a JSON string")

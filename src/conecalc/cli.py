@@ -15,7 +15,7 @@ import sys
 from .bundles import HNCurveBundle, SurfaceBundleData
 from .errors import InputError, InternalError
 from .presets import SpacePreset, _KINDS
-from .rationals import _cut, _echo, format_rational, parse_rational
+from .rationals import _cut, _echo, format_rational, parse_coords, parse_rational
 
 # The ring, cone, zariski and selftest layers are imported inside the commands
 # that use them, so that one call loads only what its command needs.
@@ -49,8 +49,13 @@ def _fail(path, message):
     raise InputError(f"{path}: {message}")
 
 
-def _rescope(path, exc):
-    return InputError(f"{path}: {exc}", reasons=exc.reasons)
+def _at(path, read, *args):
+    """``read(*args)``, with any ``InputError`` it raises addressed to ``path``;
+    the error's ``reasons`` stay as they were."""
+    try:
+        return read(*args)
+    except InputError as err:
+        raise InputError(f"{path}: {err}", reasons=err.reasons) from None
 
 
 def parse_workspace(data):
@@ -80,12 +85,9 @@ def parse_workspace(data):
         if surface is None:
             _fail("base.kind", f"unknown base kind {_echo(base_kind)}")
         path = f"base.{surface.param}"
-        try:
-            param = parse_rational(base[surface.param])
-        except KeyError:
+        if surface.param not in base:
             _fail(path, "missing")
-        except InputError as err:
-            raise _rescope(path, err) from None
+        param = _at(path, parse_rational, base[surface.param])
         if surface.positive and param <= 0:
             _fail(path, "must be positive")
 
@@ -99,20 +101,17 @@ def parse_workspace(data):
             _fail(path, "must be an object")
         name = record.get("name")
         if not isinstance(name, str) or not name:
-            _fail(f"{path}.name", "missing bundle name")
+            _fail(f"{path}.name", "missing or not a non-empty string")
         if name in bundles:
             _fail(f"{path}.name", f"duplicate bundle name {_echo(name)}")
-        try:
-            if surface is None:
-                bundles[name] = HNCurveBundle.from_json(record)
-            else:
-                want = len(surface.divisors)
-                c1 = record.get("c1", ())
-                if not isinstance(c1, list) or len(c1) != want:
-                    _fail(f"{path}.c1", f"needs {want} coordinate(s) for this base")
-                bundles[name] = SurfaceBundleData.from_json(record)
-        except InputError as err:
-            raise _rescope(path, err) from None
+        if surface is None:
+            bundles[name] = _at(path, HNCurveBundle.from_json, record)
+        else:
+            want = len(surface.divisors)
+            c1 = record.get("c1", ())
+            if not isinstance(c1, list) or len(c1) != want:
+                _fail(f"{path}.c1", f"needs {want} coordinate(s) for this base")
+            bundles[name] = _at(path, SurfaceBundleData.from_json, record)
         rank = bundles[name].rank
         if rank > MAX_RANK:
             _fail(f"{path}.rank", f"rank {_echo(rank)} is above the limit of {MAX_RANK}")
@@ -129,15 +128,12 @@ def parse_workspace(data):
 
     if space_kind == "proj_bundle":
         bundle = resolve("space.bundle", space.get("bundle"))
-        try:
-            if surface is None:
-                preset = SpacePreset.curve(bundle.rank, bundle.degree)
-            elif not bundle.semistable:
-                _fail("space.bundle", "surface presets need a semistable bundle")
-            else:
-                preset = surface.from_base(bundle.rank, param, bundle.c1, bundle.c2)
-        except InputError as err:
-            raise _rescope("space", err) from None
+        if surface is None:
+            preset = _at("space", SpacePreset.curve, bundle.rank, bundle.degree)
+        elif not bundle.semistable:
+            _fail("space.bundle", "surface presets need a semistable bundle")
+        else:
+            preset = _at("space", surface.from_base, bundle.rank, param, bundle.c1, bundle.c2)
         factors = (bundle,)
     elif space_kind == "fibre_product":
         if surface is not None:
@@ -147,12 +143,9 @@ def parse_workspace(data):
             _fail("space.factors", "needs exactly two bundle names")
         first = resolve("space.factors[0]", names[0])
         second = resolve("space.factors[1]", names[1])
-        try:
-            preset = SpacePreset.fibre_product(
-                first.rank, second.rank, first.degree, second.degree
-            )
-        except InputError as err:
-            raise _rescope("space", err) from None
+        preset = _at(
+            "space", SpacePreset.fibre_product, first.rank, second.rank, first.degree, second.degree
+        )
         factors = (first, second)
     else:
         _fail("space.kind", f"unknown space kind {_echo(space_kind)}")
@@ -165,10 +158,7 @@ def parse_workspace(data):
         path = f"classes[{_echo(name)}]"
         if not isinstance(coords, list):
             _fail(path, "must be a list of rationals")
-        try:
-            classes[name] = tuple(parse_rational(x) for x in coords)
-        except InputError as err:
-            raise _rescope(path, err) from None
+        classes[name] = _at(path, parse_coords, coords)
 
     return WorkspaceSpec(base_kind, factors, preset, classes)
 

@@ -337,6 +337,32 @@ def test_integer_c1_is_path_addressed(tmp_path, capsys):
     assert code == 2 and "bundles[0].c1" in out
 
 
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("defect_c1_int.json", None, "bundles[0].c1: needs 1 coordinate(s) for this base"),
+        (
+            "rho1.json",
+            {"semistable": False},
+            "space.bundle: surface presets need a semistable bundle",
+        ),
+        ("curve.json", {"name": 5}, "bundles[0].name: missing or not a non-empty string"),
+    ],
+    ids=["c1", "semistable", "name"],
+)
+def test_a_workspace_error_names_one_path(tmp_path, capsys, name, edit, message):
+    path = os.path.join(WORKSPACES, name)
+    if edit is not None:
+        with open(path) as handle:
+            workspace = json.load(handle)
+        workspace["bundles"][0].update(edit)
+        path = ws_file(tmp_path, workspace)
+    assert run(capsys, ["-w", path, "cone", "nef"]) == (2, f"error: {message}\n")
+    code, out = run(capsys, ["--json", "-w", path, "cone", "nef"])
+    assert code == 2
+    assert json.loads(out) == {"error": message, "reasons": [message]}
+
+
 def test_error_json_payload(tmp_path, capsys):
     code, out = run(capsys, ["--json", "cone", "psef"])
     assert code == 2
@@ -358,6 +384,9 @@ def test_selftest_json(capsys):
     )
 
 
+HN_PAIRS = "hn must be a list of [rank, degree] pairs"
+
+
 @pytest.mark.parametrize(
     "bundle, message",
     [
@@ -366,6 +395,10 @@ def test_selftest_json(capsys):
         ({"rank": "2", "degree": 0}, "malformed integer: '2'"),
         ({"rank": 2, "degree": 0.0}, "malformed integer: 0.0"),
         ({"rank": 2, "degree": 0, "hn": [[1, -1], [1.0, 1]]}, "malformed integer: 1.0"),
+        # an object or a string unpacks like a pair, one key or character at a time
+        ({"rank": 4, "degree": 1, "hn": {"12": 0}}, HN_PAIRS),
+        ({"rank": 4, "degree": 1, "hn": ["12"]}, HN_PAIRS),
+        ({"rank": 4, "degree": 1, "hn": [[1, -3], [2, 0], "14"]}, HN_PAIRS),
     ],
 )
 def test_curve_bundle_integers_are_strict(tmp_path, capsys, bundle, message):
@@ -716,6 +749,8 @@ FUZZ_VALUES = (
 )
 # an exit-2 message is at most this many bytes, whatever the input
 MAX_ERROR_BYTES = 512
+# a workspace error names one of these paths, once, at its start
+WORKSPACE_PATHS = ("workspace", "base", "bundles[", "space", "classes")
 FUZZ_COMMANDS = (
     [("cone", "nef"), ("cone", "psef", "--k", "2"), ("member", "1,1,0"), ("zariski", "1,1,0")]
     + [("homog", "--k", str(k)) for k in range(6)]
@@ -774,6 +809,7 @@ def test_workspace_fuzz_exits_cleanly(data):
         spec = cli.parse_workspace(json.dumps(workspace))
     except InputError as err:
         assert len(str(err).encode()) <= MAX_ERROR_BYTES
+        assert not str(err).partition(": ")[2].startswith(WORKSPACE_PATHS), str(err)
         return
     finally:
         assert time.perf_counter() - start < WALL_S
