@@ -14,6 +14,27 @@ from .rationals import (
 from .record import Record
 
 
+def _bound_at(err, fields, max_bits):
+    """``err``, addressed to the field whose bound it reports.
+
+    ``fields`` are the (path, reader, value) triples a record reader read, in
+    order; the reader calls this only once one of them failed, so field paths
+    cost nothing when every field reads. A malformed value is echoed in
+    ``err`` already, so that error stays as it is; a value past ``max_bits``
+    cannot be echoed, so its message names the field.
+    """
+    for path, read, value in fields:
+        try:
+            read(value, None)
+        except InputError:
+            return err
+        try:
+            read(value, max_bits)
+        except InputError:
+            return err.at(path)
+    return err
+
+
 def validate_hn(rank, degree, quotients):
     """Check a quotient ladder and return the list of violations (empty = ok).
 
@@ -31,8 +52,8 @@ def validate_hn(rank, degree, quotients):
         problems.append("rank sum mismatch")
     if sum(d for _, d in quotients) != degree:
         problems.append("degree sum mismatch")
-    slopes = [Fraction(d, r) for r, d in quotients]
-    if any(t <= s for s, t in zip(slopes, slopes[1:])):
+    # d/r < d2/r2 exactly when d*r2 < d2*r, the ranks being positive
+    if any(d2 * r <= d * r2 for (r, d), (r2, d2) in zip(quotients, quotients[1:])):
         problems.append("slopes not strictly increasing")
     return problems
 
@@ -84,6 +105,9 @@ class HNCurveBundle(Record):
             degree = parse_int(obj["degree"], max_bits)
         except KeyError:
             raise InputError("bundle record needs integer rank and degree") from None
+        except InputError as err:
+            fields = (("rank", parse_int, obj["rank"]), ("degree", parse_int, obj.get("degree")))
+            raise _bound_at(err, fields, max_bits) from None
         quotients = obj.get("hn")
         if quotients is not None:
             # an object or a string unpacks like a pair, a key or character at a time
@@ -91,9 +115,17 @@ class HNCurveBundle(Record):
                 isinstance(pair, list) and len(pair) == 2 for pair in quotients
             ):
                 raise InputError("hn must be a list of [rank, degree] pairs")
-            quotients = tuple(
-                (parse_int(r, max_bits), parse_int(d, max_bits)) for r, d in quotients
-            )
+            try:
+                quotients = tuple(
+                    (parse_int(r, max_bits), parse_int(d, max_bits)) for r, d in quotients
+                )
+            except InputError as err:
+                fields = (
+                    (f"hn[{i}][{j}]", parse_int, x)
+                    for i, pair in enumerate(quotients)
+                    for j, x in enumerate(pair)
+                )
+                raise _bound_at(err, fields, max_bits) from None
         name = obj.get("name", "E")
         if not isinstance(name, str):
             raise InputError("bundle name must be a JSON string")
@@ -160,4 +192,13 @@ class SurfaceBundleData(Record):
             c2 = parse_rational(obj["c2"])
         except (KeyError, TypeError, ValueError):
             raise InputError("surface bundle record needs rank, c1, c2") from None
+        except InputError as err:
+            c1 = obj.get("c1")
+            fields = [("rank", parse_int, obj["rank"])]
+            if isinstance(c1, list):
+                fields += [(f"c1[{i}]", parse_rational, x) for i, x in enumerate(c1)]
+            else:
+                fields.append(("c1", parse_coords, c1))
+            fields.append(("c2", parse_rational, obj.get("c2")))
+            raise _bound_at(err, fields, MAX_RATIONAL_BITS) from None
         return cls(rank, c1, c2, parse_bool(obj.get("semistable", False)))

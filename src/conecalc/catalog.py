@@ -7,11 +7,11 @@ nef divisor generators on one side, pairing duality on the other) and so
 serves as the constructors' oracle.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add
 
-from . import bundles as bn
 from .cones import Pairing, RationalCone, primitive
 from .errors import InputError, InternalError
 from .presets import (
@@ -54,19 +54,46 @@ def _report(space, k, basis, nef, psef):
     return ConeReport(space, k, tuple(basis), nef, psef, equal)
 
 
-def _curve_cone(bundles, mu):
-    """Cone of the fibre product of curve bundles, in the basis
-    (xi_1, ..., xi_n, F): spanned by xi_i - mu(E_i)*F and F.
+def _lowest(bundle):
+    """(rank, degree) of the minimal-slope quotient: the nef cone's piece."""
+    return bundle.quotients[0]
 
-    With mu = mu_min this is the nef cone, with mu = mu_max the
-    pseudoeffective one; each factor adds one ray, a primitive integer row,
-    and F comes last. The facets are closed-form (Miyaoka; Fulger), in
-    dual-basis order: a_i >= 0 for each i, then c + sum mu_i*a_i >= 0.
+
+def _highest(bundle):
+    """(rank, degree) of the maximal-slope piece: the psef cone's."""
+    return bundle.quotients[-1]
+
+
+def _whole(bundle):
+    """(rank, degree) of the bundle itself: a tower stage's piece."""
+    return (bundle.rank, bundle.degree)
+
+
+def _curve_cone(bundles, piece):
+    """Cone of the fibre product of curve bundles, in the basis
+    (xi_1, ..., xi_n, F): spanned by xi_i - mu_i*F and F, where mu_i is the
+    slope of the (rank, degree) pair ``piece(E_i)``.
+
+    With ``_lowest`` this is the nef cone, with ``_highest`` the
+    pseudoeffective one. The rank check runs on every call; the cone is
+    then looked up by its integer pieces, so it is shared between callers:
+    treat it as read-only.
     """
     if any(bundle.rank < 2 for bundle in bundles):
         raise InputError("projectivization needs rank at least 2")
-    n = len(bundles)
-    slopes = [mu(b) for b in bundles]
+    return _pieces_cone(tuple(map(piece, bundles)))
+
+
+@lru_cache(maxsize=8)
+def _pieces_cone(pieces):
+    """The cone of ``_curve_cone`` on one (rank, degree) piece per factor.
+
+    Each factor adds one ray, a primitive integer row, and F comes last. The
+    facets are closed-form (Miyaoka; Fulger), in dual-basis order: a_i >= 0
+    for each i, then c + sum mu_i*a_i >= 0.
+    """
+    n = len(pieces)
+    slopes = [Fraction(d, r) for r, d in pieces]
     rows = [
         tuple(s.denominator * (j == i) for j in range(n)) + (-s.numerator,)
         for i, s in enumerate(slopes)
@@ -84,15 +111,15 @@ def miyaoka_cones(bundle):
     the pseudoeffective cone by xi - mu_max*f and f; they agree exactly for
     semistable bundles.
     """
-    nef = _curve_cone([bundle], bn.mu_min)
-    psef = _curve_cone([bundle], bn.mu_max)
+    nef = _curve_cone([bundle], _lowest)
+    psef = _curve_cone([bundle], _highest)
     return _report(SpacePreset.curve(bundle.rank, bundle.degree), 1, ("xi", "f"), nef, psef)
 
 
 def nef_fibre_product(first, second):
     """Nef cone of the fibre product, basis (xi, zeta, F): each factor
     contributes its minimal-slope ray."""
-    return _curve_cone([first, second], bn.mu_min)
+    return _curve_cone([first, second], _lowest)
 
 
 def psef_fibre_product(first, second):
@@ -102,13 +129,13 @@ def psef_fibre_product(first, second):
     factors it collapses onto the nef cone, and for unstable ones the first
     two rays are the classes of the destabilizing subbundle loci.
     """
-    return _curve_cone([first, second], bn.mu_max)
+    return _curve_cone([first, second], _highest)
 
 
 def fibre_product_cones(first, second):
     """ConeReport of the fibre product, with the two closed forms above."""
-    nef = _curve_cone([first, second], bn.mu_min)
-    psef = _curve_cone([first, second], bn.mu_max)
+    nef = _curve_cone([first, second], _lowest)
+    psef = _curve_cone([first, second], _highest)
     preset = SpacePreset.fibre_product(first.rank, second.rank, first.degree, second.degree)
     return _report(preset, 1, ("xi", "zeta", "F"), nef, psef)
 
@@ -130,7 +157,7 @@ def iterated_fibre_product_cones(tower):
     reports = []
     for stage, bundle in enumerate(tower, 1):
         # the rank check runs in _curve_cone, so each bundle is checked in list order
-        cone = _curve_cone(tower[:stage], bn.slope)
+        cone = _curve_cone(tower[:stage], _whole)
         if not bundle.semistable:
             raise InputError(
                 f"bundle {bundle.name!r} is unstable; the tower construction "

@@ -50,12 +50,12 @@ def _fail(path, message):
 
 
 def _at(path, read, *args):
-    """``read(*args)``, with any ``InputError`` it raises addressed to ``path``;
-    the error's ``reasons`` stay as they were."""
+    """``read(*args)``, with any ``InputError`` it raises addressed to ``path``
+    (``CalcError.at``); the error's ``reasons`` stay as they were."""
     try:
         return read(*args)
     except InputError as err:
-        raise InputError(f"{path}: {err}", reasons=err.reasons) from None
+        raise err.at(path) from None
 
 
 def parse_workspace(data):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InputError
 
-_RATIONAL_TEXT = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_TEXT = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 MAX_RATIONAL_BITS = 1024
 
 
@@ -46,11 +46,13 @@ def parse_rational(value, max_bits=MAX_RATIONAL_BITS):
         # the wire format is a sign and ASCII digits, then '/' and ASCII
         # digits; Fraction would also read decimals, exponents, underscores
         # and other scripts' digits
-        text = value.strip()
-        if not _RATIONAL_TEXT.fullmatch(text):
+        match = _RATIONAL_TEXT.fullmatch(value.strip())
+        if match is None:
             raise InputError(f"malformed rational: {_echo(value)}")
+        num, den = match.groups()
         try:
-            value = Fraction(text)
+            # a numerator past the interpreter's int-to-text digit limit is a ValueError
+            value = Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError):
             raise InputError(f"malformed rational: {_echo(value)}") from None
     else:

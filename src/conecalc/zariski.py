@@ -16,7 +16,7 @@ from .bundles import HNCurveBundle
 from .catalog import nef_fibre_product, psef_fibre_product
 from .cones import inequality_text, primitive
 from .errors import InputError, InternalError
-from .presets import NumClass, SpacePreset
+from .presets import FIBRE_PRODUCT_OVER_CURVE, _KINDS, NumClass
 from .rationals import (
     _echo, as_fraction, format_linear, format_rational, parse_bool, parse_coords, parse_rational,
     parse_records
@@ -73,6 +73,12 @@ def _same_bundle(x, y):
 
 def _terminal_shaped(bundle):
     return bundle.semistable or bundle.quotients[0][0] == bundle.rank - 1
+
+
+def _require_pair_ranks(first, second):
+    """The fibre product preset's rank check, on a pair that needs no ring."""
+    if first.rank < 2 or second.rank < 2:
+        raise InputError(_KINDS[FIBRE_PRODUCT_OVER_CURVE].rank_error)
 
 
 def _terminal_label(first, second):
@@ -193,8 +199,7 @@ class ZariskiCertificate(Record):
             step = ReductionStep.from_json(step_obj, chain[idx])
             chain[0 if step.factor == "first" else 1] = step.to_bundle
             steps.append(step)
-        # the terminal pair's preset checks both ranks; P and N need no ring
-        SpacePreset.fibre_product(chain[0].rank, chain[1].rank, chain[0].degree, chain[1].degree)
+        _require_pair_ranks(chain[0], chain[1])
         P = _divisor(p_coords)
         N = []
         for entry in n_objs:
@@ -247,20 +252,18 @@ def terminal_decompose(first, second, cls):
     a, b, c = _coords(cls)
     mu1 = bn.mu_max(first)
     mu2 = bn.mu_max(second)
-    c_top = c + a * mu1 + b * mu2
     expansion = (
-        (a, format_linear(((1, "xi"), (-mu1, "F")))),
-        (b, format_linear(((1, "zeta"), (-mu2, "F")))),
-        (c_top, "F"),
+        (a, ((1, "xi"), (-mu1, "F"))),
+        (b, ((1, "zeta"), (-mu2, "F"))),
+        (c + a * mu1 + b * mu2, ((1, "F"),)),
     )
-    for value, label in expansion:
+    for value, terms in expansion:
         if value < 0:
             raise InputError(
                 "class is not pseudoeffective: expansion coefficient of "
-                f"{label} is {format_rational(value)}"
+                f"{format_linear(terms)} is {format_rational(value)}"
             )
-    # the pair's preset checks both ranks; P and N need no ring
-    SpacePreset.fibre_product(first.rank, second.rank, first.degree, second.degree)
+    _require_pair_ranks(first, second)
     N = []
     if not first.semistable:
         if a:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conecalc.bundles import (
@@ -43,6 +43,38 @@ def test_validate_hn():
     assert "zero-rank quotient" in validate_hn(2, 0, [(0, 0), (2, 0)])
     # ties rejected: strictness is part of the filtration's definition
     assert "slopes not strictly increasing" in validate_hn(2, 0, [(1, 0), (1, 0)])
+
+
+def _validate_hn_by_fractions(rank, degree, quotients):
+    """validate_hn with the slopes compared as Fractions."""
+    if any(r <= 0 for r, _ in quotients):
+        return ["zero-rank quotient"]
+    problems = []
+    if sum(r for r, _ in quotients) != rank:
+        problems.append("rank sum mismatch")
+    if sum(d for _, d in quotients) != degree:
+        problems.append("degree sum mismatch")
+    slopes = [Fraction(d, r) for r, d in quotients]
+    if any(t <= s for s, t in zip(slopes, slopes[1:])):
+        problems.append("slopes not strictly increasing")
+    return problems
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 6), st.integers(-12, 12)), min_size=1, max_size=5),
+    st.integers(-1, 1),
+    st.integers(-1, 1),
+)
+# equal slopes written two ways, and a negative ladder
+@example([(1, 1), (2, 2)], 0, 0)
+@example([(2, -4), (1, -2)], 0, 0)
+@example([(3, -7), (1, -2), (2, -1)], 0, 0)
+def test_validate_hn_matches_fraction_slopes(quotients, rank_shift, degree_shift):
+    rank = sum(r for r, _ in quotients) + rank_shift
+    degree = sum(d for _, d in quotients) + degree_shift
+    want = _validate_hn_by_fractions(rank, degree, quotients)
+    assert validate_hn(rank, degree, quotients) == want
+    assert validate_hn(rank, degree, [(0, 0)] + quotients) == ["zero-rank quotient"]
 
 
 def test_bad_ladder_raises_with_reasons():

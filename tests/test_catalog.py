@@ -13,6 +13,10 @@ from conecalc.bundles import HNCurveBundle
 from conecalc.catalog import (
     _curve_cone,
     _derived_cones,
+    _highest,
+    _lowest,
+    _pieces_cone,
+    _whole,
     fibre_product_cones,
     homogeneity_cones,
     iterated_fibre_product_cones,
@@ -26,6 +30,7 @@ from conecalc.cones import Pairing, RationalCone, _dd_rays, _dual_basis
 from conecalc.errors import InputError
 from conecalc.presets import PROJ_BUNDLE_OVER_SURFACE_RHO1
 from conecalc.ring import NumClass, SpacePreset, _pmul, build_lambda_ring_surface
+from conecalc.zariski import decompose, verify
 
 
 def rho1(rank, L2, e=0):
@@ -276,14 +281,19 @@ def curve_factors(draw):
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
 
 
+# each (rank, degree) selector of _curve_cone with the slope it stands for
+SELECTORS = [(_lowest, bn.mu_min), (_highest, bn.mu_max), (_whole, bn.slope)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     curve_factors(),
-    st.sampled_from([bn.mu_min, bn.mu_max, bn.slope]),
+    st.sampled_from(SELECTORS),
     st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=6, max_size=6),
 )
-def test_closed_form_facets_equal_the_computed_ones(bundles, mu, probe):
-    cone = _curve_cone(bundles, mu)
+def test_closed_form_facets_equal_the_computed_ones(bundles, selector, probe):
+    piece, mu = selector
+    cone = _curve_cone(bundles, piece)
     dim = cone.dim
     # the cone as built from the literal rows xi_i - mu_i*F and F, facets computed
     rows = [tuple(int(j == i) for j in range(dim - 1)) + (-mu(b),) for i, b in enumerate(bundles)]
@@ -295,6 +305,31 @@ def test_closed_form_facets_equal_the_computed_ones(bundles, mu, probe):
     # so a rejection names the same first facet, with the same value
     vector = probe[:dim]
     assert cone.violated_constraint(vector) == computed.violated_constraint(vector)
+
+
+def test_rank_check_runs_on_a_warm_memo():
+    # the top piece (1, 1) of UNSTABLE is the key the rank-1 line (1, 1) would have
+    _pieces_cone.cache_clear()
+    psef_fibre_product(UNSTABLE, UNSTABLE)
+    with pytest.raises(InputError, match=f"^{RANK_ERROR}$"):
+        psef_fibre_product(HNCurveBundle(1, 1), UNSTABLE)
+    with pytest.raises(InputError, match=f"^{RANK_ERROR}$"):
+        miyaoka_cones(HNCurveBundle(1, 1))
+
+
+def test_decompose_and_verify_build_each_cone_once():
+    first = HNCurveBundle(4, 0, [(1, -3), (2, 0), (1, 3)])
+    second = HNCurveBundle(3, 1, [(2, 0), (1, 1)])
+    _pieces_cone.cache_clear()
+    cert = decompose(first, second, (1, 1, 5))
+    assert verify(cert, first, second)
+    info = _pieces_cone.cache_info()
+    # psef on entry; nef and psef of the terminal pair in each verify, whose
+    # psef has the input pair's maximal-slope pieces
+    assert info.hits + info.misses == 5
+    assert info.misses <= 2
+    # a shared cone is the same object on every lookup
+    assert psef_fibre_product(first, second) is psef_fibre_product(first, second)
 
 
 # --- surface base ----------------------------------------------------------

@@ -507,7 +507,7 @@ ECHO_SITES = {
     "integer rank": (
         {**CURVE_WS, "bundles": [{"name": "E", "rank": int(BIG), "degree": 0}]},
         ["cone", "nef"],
-        "bundles[0]: integer has 13288 bits",
+        "bundles[0].rank: integer has 13288 bits",
     ),
     "HN degrees": (
         {
@@ -519,7 +519,19 @@ ECHO_SITES = {
             ],
         },
         ["member", "9" * 300 + ",0,0"],
-        f"bundles[0]: integer has {(2 * 10**4200).bit_length()} bits",
+        f"bundles[0].degree: integer has {(2 * 10**4200).bit_length()} bits",
+    ),
+    # one HN entry alone past the bound: the message names it, not its record
+    "HN entry": (
+        {
+            **FIBRE_WS,
+            "bundles": [
+                {"name": "E", "rank": 2, "degree": 0, "hn": [[1, -int(BIG)], [1, int(BIG)]]},
+                FIBRE_WS["bundles"][1],
+            ],
+        },
+        ["cone", "nef"],
+        "bundles[0].hn[0][1]: integer has 13288 bits",
     ),
     "space kind": (
         {**CURVE_WS, "space": {"kind": LONG}},
@@ -545,12 +557,17 @@ ECHO_SITES = {
     "rational text": (
         {**RHO1_WS, "bundles": [{**RHO1_WS["bundles"][0], "c1": [BIG]}]},
         ["cone", "nef"],
-        "bundles[0]: rational has 13288 bits",
+        "bundles[0].c1[0]: rational has 13288 bits",
     ),
     "rational int": (
         {**RHO1_WS, "bundles": [{**RHO1_WS["bundles"][0], "c1": [int(BIG)]}]},
         ["cone", "nef"],
-        "bundles[0]: rational has 13288 bits",
+        "bundles[0].c1[0]: rational has 13288 bits",
+    ),
+    "rational c2": (
+        {**RHO1_WS, "bundles": [{**RHO1_WS["bundles"][0], "c2": BIG}]},
+        ["cone", "nef"],
+        "bundles[0].c2: rational has 13288 bits",
     ),
     "base form": (
         {**RHO1_WS, "base": {"kind": "surface_rho1", "L2": BIG}},
@@ -645,7 +662,7 @@ def test_integer_too_long_to_convert_is_invalid_json(tmp_path, capsys):
     # Python 3.11 and later refuse to convert the integer; 3.10 reads it and
     # the integer bound refuses it
     assert code == 2
-    assert out.startswith(("error: workspace: not valid JSON", "error: bundles[0]: integer has "))
+    assert out.startswith(("error: workspace: not valid JSON", "error: bundles[0].rank: integer has "))
 
 
 def test_deeply_nested_workspace_is_invalid_json(tmp_path, capsys):

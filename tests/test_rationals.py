@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conecalc.errors import InputError
@@ -110,6 +110,29 @@ def test_strict_int_and_bool():
     for bad in ("false", 0, 1, None):
         with pytest.raises(InputError):
             parse_bool(bad)
+
+
+# the wire format: a sign, ASCII digits, then optionally '/' and ASCII digits
+_WIRE = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "-", "+"]),
+    st.from_regex(r"[0-9]{1,30}", fullmatch=True),
+    st.one_of(st.just(""), st.from_regex(r"/[0-9]{1,30}", fullmatch=True)),
+)
+
+
+@given(_WIRE)
+@example("-0/5")
+@example("+007/0012")
+@example("-000")
+@example("3/0")
+def test_parse_rational_equals_fraction_on_the_wire_format(text):
+    if "/" in text and int(text.split("/")[1]) == 0:
+        with pytest.raises(InputError, match="^malformed rational: "):
+            parse_rational(text)
+        return
+    value = parse_rational(text, max_bits=None)
+    assert value == Fraction(text) and type(value) is Fraction
 
 
 def test_strict_coordinate_list():
