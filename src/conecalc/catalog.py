@@ -187,6 +187,12 @@ def _nef_divisor_generators(preset, ring):
     ]
 
 
+def _require_int_k(k):
+    # a bool is an int to Python, but not a codimension
+    if type(k) is not int:
+        raise InputError(f"k must be an integer, got {type(k).__name__}")
+
+
 def homogeneity_cones(preset, k):
     """First-principles psef and nef cones in codimension k.
 
@@ -196,13 +202,22 @@ def homogeneity_cones(preset, k):
     pairing. Returns (psef, nef, basis labels). Built independently of the
     closed-form constructors so it can act as their oracle.
 
-    The preset is checked on every call (a surface base, 1 <= k < rank,
-    c2(End) = 0); the cones depend only on its kind, rank and base
-    parameter (L2 or mu), so they are memoized per (kind, rank, base
-    parameter, k), at most 8 entries. The cones returned are shared between
-    callers: treat them as read-only.
+    The preset is checked on every call (a surface base, an int k with
+    1 <= k < rank, c2(End) = 0). The cones depend only on its kind, rank
+    and base parameter (L2 or mu), in two memos of at most 8 entries each:
+    the ring and the divisor products of every degree come from one entry
+    per (kind, rank, base parameter), shared by every k, and the cones of
+    one k from one entry per (kind, rank, base parameter, k). The cones
+    returned are shared between callers: treat them as read-only.
     """
+    return _checked_cones(preset, k)[:3]
+
+
+def _checked_cones(preset, k):
+    """The ``_derived_cones`` entry of a preset, after the checks that run on
+    every call."""
     spec = preset.surface()
+    _require_int_k(k)
     r = preset.rank
     if not 1 <= k <= r - 1:
         raise InputError(f"k out of range 1..{r - 1}")
@@ -210,30 +225,31 @@ def homogeneity_cones(preset, k):
     return _derived_cones(preset.kind, r, getattr(preset, spec.param), k)
 
 
-def _balanced(spec, rank, param):
-    """The c1 = 0, c2 = 0 preset of a surface kind record, rank and base parameter."""
-    return spec.from_base(rank, param, (0,) * len(spec.divisors), 0)
-
-
 @lru_cache(maxsize=8)
-def _derived_cones(kind, rank, param, k):
-    """``homogeneity_cones`` of the c1 = 0 preset of this kind, rank and base
-    parameter. Products are built degree by degree, each reduced degree-d
-    product times one divisor giving the degree-(d+1) ones, and a product
-    that reduces to zero is pruned with everything that would extend it."""
+def _product_layers(kind, rank, param):
+    """The c1 = 0, c2 = 0 preset of this kind, rank and base parameter, its
+    lambda ring, and ``layers``: ``layers[d]`` maps the nondecreasing divisor
+    indices of each degree-d product of nef divisor generators that does not
+    reduce to zero to its reduced coefficients, for d = 0..rank.
+
+    Products are built degree by degree, each reduced degree-d product times
+    one divisor giving the degree-(d+1) ones, so each multiset is built once,
+    and a product that reduces to zero is pruned with everything that would
+    extend it. Nothing here depends on k, so every k of one preset reads one
+    entry; it is shared, so treat it as read-only.
+    """
     from .ring import _pmul, build_lambda_ring_surface
 
-    preset = _balanced(_KINDS[kind], rank, param)
+    spec = _KINDS[kind]
+    preset = spec.from_base(rank, param, (0,) * len(spec.divisors), 0)
     ring = build_lambda_ring_surface(preset)
     divisors = _nef_divisor_generators(preset, ring)
-    k2 = (rank + 1) - k
-    # layers[d]: reduced nonzero degree-d products keyed by their nondecreasing
-    # divisor indices, so each multiset is built once; normal forms respect
-    # products, so reducing the prefix first gives the same class. Every
-    # product is homogeneous of degree below the dimension, so it goes to the
-    # rewriting directly. Coefficients are ints unless the base form is not.
+    # normal forms respect products, so reducing the prefix first gives the
+    # same class. Every product is homogeneous of degree below the dimension,
+    # so it goes to the rewriting directly. Coefficients are ints unless the
+    # base form is not.
     layers = [{(): {(0,) * len(ring.gens): 1}}]
-    for _ in range(max(k, k2)):
+    for _ in range(rank):
         layer = {}
         for key, prev in layers[-1].items():
             for i in range(key[-1] if key else 0, len(divisors)):
@@ -241,6 +257,17 @@ def _derived_cones(kind, rank, param, k):
                 if coeffs:
                     layer[key + (i,)] = coeffs
         layers.append(layer)
+    return preset, ring, layers
+
+
+@lru_cache(maxsize=8)
+def _derived_cones(kind, rank, param, k):
+    """``homogeneity_cones`` of the c1 = 0 preset of this kind, rank and base
+    parameter: the degree-k and degree-(rank + 1 - k) layers of its
+    ``_product_layers`` entry as product cones, and the pairing dual of the
+    second. Returns (psef, nef, basis labels, the c1 = 0 preset)."""
+    balanced, ring, layers = _product_layers(kind, rank, param)
+    k2 = (rank + 1) - k
 
     def product_cone(degree):
         basis = ring.basis(degree)
@@ -257,7 +284,7 @@ def _derived_cones(kind, rank, param, k):
         for m2 in basis_k2
     ]
     nef = psef_complement.dual(Pairing(matrix))
-    return psef, nef, ring.basis_labels(k)
+    return psef, nef, ring.basis_labels(k), balanced
 
 
 def k_homogeneous_check(preset, k):
@@ -291,11 +318,10 @@ def surface_cone_report(preset, k):
     cone of ``homogeneity_cones``; the nef side is that function's pairing
     dual, so the report's equality flag is evidence, not fiat.
     """
-    psef, nef, labels = homogeneity_cones(preset, k)
+    psef, nef, labels, balanced = _checked_cones(preset, k)
     if k != 1:
         # the cones depend only on rank and L2/mu; k > 1 reports name the c1 = 0 preset
-        spec = preset.surface()
-        preset = _balanced(spec, preset.rank, getattr(preset, spec.param))
+        preset = balanced
     closed = RationalCone(len(labels), _CLOSED_FORMS[preset.kind](preset, k))
     if psef != closed:
         raise InternalError("closed-form cone drifted from the product cone")
@@ -315,6 +341,7 @@ _CURVE_SPACES = {
 def cone_report(preset, k, factors):
     """Codimension-k report of any preset; ``factors`` are the bundles it
     was built from, which the curve-base reports read."""
+    _require_int_k(k)
     if preset.is_surface:
         return surface_cone_report(preset, k)
     report, message = _CURVE_SPACES[preset.kind]

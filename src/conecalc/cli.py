@@ -22,8 +22,10 @@ from .rationals import _cut, _echo, format_rational, parse_coords, parse_rationa
 
 
 # Largest bundle rank a workspace may give. The cost of a surface cone report
-# grows with rank; the worst cone or homog call at this rank takes about
-# 30 ms in-process (2-CPU Xeon, Python 3.11), and about 55 ms at rank 32.
+# grows with rank; the worst cone or homog call at this rank (a ruled base,
+# k = 1 or rank - 1), the first in a fresh interpreter, takes 15-26 ms
+# in-process on a shared 2-CPU Xeon (Python 3.11), and its report alone
+# about 14 ms at rank 32 when the host is quiet.
 MAX_RANK = 24
 
 USAGE = "usage: conecalc [-w PATH] [--json] ring|cone|member|zariski|homog|selftest ..."

@@ -18,6 +18,7 @@ combinatorial adjacency test is valid there.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError
 from .rationals import as_fraction, format_linear, format_rational
@@ -43,7 +44,7 @@ def primitive(vector):
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _combine(scale_p, p, scale_q, q):

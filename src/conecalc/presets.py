@@ -172,7 +172,20 @@ class SpacePreset(Record):
 
 
 def _require_c2_end_zero(preset):
-    if preset.c2_end != 0:
+    """Refuse a preset unless 2r*c2 = (r-1)*c1^2, tested on the numerators and
+    denominators of its fields by integer cross-multiplication; the Fraction
+    ``c2_end`` is built only for the message."""
+    gram, coords = preset.base_gram, preset.c1_coords
+    # c1^2 as num/den, one term c1_i*gram_ij*c1_j at a time
+    num, den = 0, 1
+    for a, row in zip(coords, gram):
+        for g, b in zip(row, coords):
+            n = a.numerator * g.numerator * b.numerator
+            if n:
+                d = a.denominator * g.denominator * b.denominator
+                num, den = num * d + n * den, den * d
+    r, c2 = preset.rank, preset.c2
+    if 2 * r * c2.numerator * den != (r - 1) * num * c2.denominator:
         raise InputError(
             "invalid preset: 2r*c2 - (r-1)*c1^2 must vanish, got "
             + _cut(format_rational(preset.c2_end))

@@ -16,7 +16,11 @@ from conecalc.bundles import (
     validate_hn,
 )
 from conecalc.errors import InputError
-from conecalc.presets import PROJ_BUNDLE_OVER_SURFACE_RHO1, SpacePreset
+from conecalc.presets import (
+    PROJ_BUNDLE_OVER_RULED_SURFACE, PROJ_BUNDLE_OVER_SURFACE_RHO1, SpacePreset,
+    _require_c2_end_zero,
+)
+from conecalc.rationals import MAX_RATIONAL_BITS
 
 
 def test_slope_examples():
@@ -107,6 +111,58 @@ def test_c2_end():
         PROJ_BUNDLE_OVER_SURFACE_RHO1, rank=3, L2=Fraction(3), e=Fraction(1), c2=Fraction(2)
     )
     assert data.c2_end == 2 * 3 * 2 - 2 * 3
+
+
+# the widest integer a workspace rational may hold, in numerator or denominator
+WIDEST = 2**MAX_RATIONAL_BITS - 1
+
+
+@st.composite
+def raw_rationals(draw, positive=False):
+    """An int or a Fraction, as the raw constructor takes them; small, or as
+    wide as a workspace allows."""
+    low = 1 if positive else -WIDEST
+    num = draw(st.one_of(st.integers(max(low, -9), 9), st.integers(low, WIDEST)))
+    den = draw(st.one_of(st.integers(1, 12), st.integers(1, WIDEST)))
+    value = Fraction(num, den)
+    return value.numerator if value.denominator == 1 and draw(st.booleans()) else value
+
+
+@st.composite
+def raw_surface_presets(draw):
+    """A raw-constructor surface preset whose c2(End) vanishes or not."""
+    rank = draw(st.integers(2, 24))
+    if draw(st.booleans()):
+        kind = PROJ_BUNDLE_OVER_SURFACE_RHO1
+        fields = {"L2": draw(raw_rationals(positive=True)), "e": draw(raw_rationals())}
+    else:
+        kind = PROJ_BUNDLE_OVER_RULED_SURFACE
+        fields = {"mu": draw(raw_rationals()), "c1": (draw(raw_rationals()), draw(raw_rationals()))}
+    # c2(End) = 2r*c2 - (r-1)*c1^2, so this c2 makes it vanish
+    c2 = Fraction(-SpacePreset(kind, rank=rank, c2=0, **fields).c2_end, 2 * rank)
+    if draw(st.booleans()):
+        c2 += draw(raw_rationals())
+    if c2.denominator == 1 and draw(st.booleans()):
+        c2 = c2.numerator
+    return SpacePreset(kind, rank=rank, c2=c2, **fields)
+
+
+@given(raw_surface_presets())
+@example(SpacePreset(PROJ_BUNDLE_OVER_SURFACE_RHO1, rank=24, L2=WIDEST, e=WIDEST, c2=0))
+@example(SpacePreset(
+    PROJ_BUNDLE_OVER_RULED_SURFACE, rank=3, mu=Fraction(1, WIDEST), c1=(Fraction(3), 0),
+    c2=Fraction(6, WIDEST),
+))
+def test_integer_c2_end_test_agrees_with_the_fraction(preset):
+    # the refusal is an integer cross-multiplication; c2_end is the Fraction reference
+    vanishes = preset.c2_end == 0
+    try:
+        assert _require_c2_end_zero(preset) is preset
+    except InputError as err:
+        assert not vanishes
+        assert "must vanish, got " in str(err)
+    else:
+        assert vanishes
 
 
 def test_bundle_json_round_trip():

@@ -16,7 +16,9 @@ from conecalc.catalog import (
     _highest,
     _lowest,
     _pieces_cone,
+    _product_layers,
     _whole,
+    cone_report,
     fibre_product_cones,
     homogeneity_cones,
     iterated_fibre_product_cones,
@@ -441,22 +443,65 @@ def test_constructors_match_first_principles():
 # --- the memo of the first-principles cones
 
 
+def _clear_memos():
+    _product_layers.cache_clear()
+    _derived_cones.cache_clear()
+
+
 def test_one_derivation_serves_every_entry_point(monkeypatch):
     from conecalc import ring
 
     built = []
     real = ring.build_lambda_ring_surface
     monkeypatch.setattr(ring, "build_lambda_ring_surface", lambda p: built.append(p) or real(p))
-    _derived_cones.cache_clear()
+    _clear_memos()
     # c1 != 0: the k > 1 report names the c1 = 0 preset, and shares its entry
-    preset = rho1(4, 5, 2)
-    for k in (1, 2):
+    preset = rho1(5, 5, 2)
+    for k in range(1, 5):
         homogeneity_cones(preset, k)
         k_homogeneous_check(preset, k)
         surface_cone_report(preset, k)
-    assert len(built) == 2
+    # one lambda ring for every k of the preset
+    assert len(built) == 1
+    # per k: one miss, then two hits on the same (kind, rank, L2, k)
     info = _derived_cones.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (4, 2, 8)
+    assert (info.hits, info.misses, info.maxsize) == (8, 4, 8)
+    # one miss, then a hit from each later k's derivation
+    info = _product_layers.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (3, 1, 8)
+    # the report names the shared entry's preset, read from the k entry even
+    # when the preset's entry is gone
+    _product_layers.cache_clear()
+    assert surface_cone_report(preset, 2).space is built[0]
+    assert len(built) == 1
+
+
+def _sweep(preset, ks, cold=False):
+    out = {}
+    for k in ks:
+        if cold:
+            _clear_memos()
+        psef, nef, labels = homogeneity_cones(preset, k)
+        out[k] = (psef.to_json(), nef.to_json(), labels)
+    return out
+
+
+@pytest.mark.parametrize("rank", range(2, 7))
+def test_every_k_reads_the_same_cones_in_any_order(rank):
+    presets = (
+        rho1(rank, 3),
+        rho1(rank, Fraction(5, 2), 1),
+        ruled(rank, 1),
+        ruled(rank, Fraction(1, 3), (1, 2)),
+        ruled(rank, Fraction(-5, 2)),
+    )
+    ks = range(1, rank)
+    for preset in presets:
+        _clear_memos()
+        ascending = _sweep(preset, ks)
+        _clear_memos()
+        assert _sweep(preset, reversed(ks)) == ascending
+        assert _sweep(preset, ks, cold=True) == ascending
 
 
 def test_presets_apart_only_in_c1_and_c2_share_their_cones():
@@ -478,15 +523,39 @@ def test_every_check_runs_on_a_warm_memo():
     bad = SpacePreset(
         PROJ_BUNDLE_OVER_SURFACE_RHO1, rank=3, L2=Fraction(2), e=Fraction(0), c2=Fraction(1)
     )
+    # 2r*c2 - (r-1)*c1^2 = 1/2
+    half = SpacePreset(
+        PROJ_BUNDLE_OVER_SURFACE_RHO1, rank=3, L2=Fraction(2), e=Fraction(0), c2=Fraction(1, 12)
+    )
     for call in (homogeneity_cones, k_homogeneous_check, surface_cone_report):
         for k in (1, 2):
             with pytest.raises(InputError, match="must vanish, got 6$"):
                 call(bad, k)
+            with pytest.raises(InputError, match="must vanish, got 1/2$"):
+                call(half, k)
         for k in (0, 3):
             with pytest.raises(InputError, match=r"^k out of range 1\.\.2$"):
                 call(good, k)
         with pytest.raises(InputError, match="expected a surface-base preset"):
             call(SpacePreset.curve(3, 0), 1)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True, Fraction(2), "2"])
+def test_k_must_be_an_int(k):
+    # a bool is an int to Python, but not a codimension
+    message = f"^k must be an integer, got {type(k).__name__}$"
+    calls = (homogeneity_cones, k_homogeneous_check, surface_cone_report)
+    for call in calls:
+        for preset in (rho1(3, 2), ruled(3, Fraction(1, 3))):
+            with pytest.raises(InputError, match=message):
+                call(preset, k)
+    with pytest.raises(InputError, match=message):
+        cone_report(rho1(3, 2), k, ())
+    curve = HNCurveBundle(2, 1)
+    with pytest.raises(InputError, match=message):
+        cone_report(SpacePreset.curve(2, 1), k, (curve,))
+    with pytest.raises(InputError, match=message):
+        cone_report(SpacePreset.fibre_product(2, 2, 1, 1), k, (curve, curve))
 
 
 def test_report_json_shape():
