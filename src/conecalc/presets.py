@@ -64,8 +64,8 @@ class NumClass(Record):
         return format_linear((c, format_monomial(self.gens, m)) for m, c in self.terms())
 
 
-# shared by every absent coefficient; a Fraction is immutable
-_ZERO = Fraction(0)
+# shared by every read that needs them; a Fraction is immutable
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 PROJ_BUNDLE_OVER_CURVE = "proj_bundle_over_curve"
@@ -252,7 +252,7 @@ _KINDS = {
         base="ruled_surface",
         param="mu",
         divisors=("piEta", "piF"),
-        gram=lambda mu: ((2 * mu, Fraction(1)), (Fraction(1), Fraction(0))),
+        gram=lambda mu: ((2 * mu, _ONE), (_ONE, _ZERO)),
         c1=lambda p: p.c1,
         from_base=SpacePreset.ruled_surface,
         # eta - mu*f and f

@@ -54,12 +54,12 @@ class IntersectionRing:
         self.dim = int(dim)
         self.top_monomial = tuple(top_monomial)
         self.rules = tuple(
-            (tuple(lhs), {tuple(m): _exact(c) for m, c in rhs.items() if c != 0})
+            (tuple(lhs), tuple((tuple(m), _exact(c)) for m, c in rhs.items() if c != 0))
             for lhs, rhs in rules
         )
         for lhs, rhs in self.rules:
             want = self.monomial_degree(lhs)
-            if any(self.monomial_degree(m) != want for m in rhs):
+            if any(self.monomial_degree(m) != want for m, _ in rhs):
                 raise InternalError("rewrite rule does not preserve degree")
         if self.monomial_degree(self.top_monomial) != self.dim:
             raise InternalError("top monomial degree differs from the dimension")
@@ -68,21 +68,35 @@ class IntersectionRing:
         if any(sum(lhs) == 1 for lhs, _ in self.rules):
             raise InternalError("a generator is reducible")
         self._basis_cache = {}
+        self._forms = {}
 
     def monomial_degree(self, mono):
         return sum(e * d for e, d in zip(mono, self.gen_degrees))
 
     def _reduce(self, poly):
-        """Rewrite until irreducible, each monomial by the first listed rule
-        that matches it; the exponent test on each dense left side runs in C.
-        Coefficients keep their type: ints times int rules stay ints.
-
-        Callers hand over homogeneous polynomials of degree at most ``dim``
-        alone: a class above the dimension is zero without rewriting. The
-        pop guard is an internal assertion that no input reaches.
+        """Sum each term's coefficient times its monomial's normal form, read
+        from ``_forms``: this ring's private memo, filled lazily and only ever
+        gaining keys. A form is an immutable tuple of (monomial, coefficient)
+        pairs, rewritten once from 1 by the first listed rule matching each
+        monomial; ints times int rules stay ints. Callers hand over homogeneous
+        polynomials of degree at most ``dim`` alone (a class above it is zero
+        without rewriting), so the memo holds at most the monomials of those
+        degrees. The pop guard is an internal assertion that no input reaches.
         """
+        forms = self._forms
         result = {}
-        stack = [(m, c) for m, c in poly.items() if c != 0]
+        for mono, coeff in poly.items():
+            form = forms.get(mono)
+            if form is None:
+                form = forms[mono] = self._rewrite(mono)
+            for m, c in form:
+                c *= coeff
+                result[m] = result[m] + c if m in result else c
+        return _clean(result)
+
+    def _rewrite(self, mono):
+        form = {}
+        stack = [(mono, 1)]
         guard = 0
         while stack:
             guard += 1
@@ -91,13 +105,14 @@ class IntersectionRing:
             mono, coeff = stack.pop()
             rule = next((rule for rule in self.rules if all(map(ge, mono, rule[0]))), None)
             if rule is None:
-                result[mono] = result[mono] + coeff if mono in result else coeff
+                form[mono] = form[mono] + coeff if mono in form else coeff
                 continue
             lhs, rhs = rule
             rest = tuple(map(sub, mono, lhs))
-            for rmono, rcoeff in rhs.items():
+            for rmono, rcoeff in rhs:
                 stack.append((tuple(map(add, rest, rmono)), coeff * rcoeff))
-        return _clean(result)
+        # terms that cancel stay, as zeros, so a sum's type is as if rewritten
+        return tuple(form.items())
 
     def normal_form(self, expr):
         """Reduce to the unique irreducible representative, as a NumClass.

@@ -1,6 +1,7 @@
 """Intersection rings: published product tables, normal forms, bases."""
 
 import gc
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ from operator import ge
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecalc import ring as ring_module
@@ -293,7 +294,7 @@ def _reduce_any_order(ring, poly, rng):
             continue
         lhs, rhs = rng.choice(hits)
         rest = tuple(e - l for e, l in zip(mono, lhs))
-        for rmono, rcoeff in rhs.items():
+        for rmono, rcoeff in rhs:
             stack.append((tuple(e + r for e, r in zip(rest, rmono)), coeff * rcoeff))
     return {m: c for m, c in result.items() if c}
 
@@ -333,7 +334,7 @@ def test_public_results_are_fractions(name):
     is still a Fraction, for integral and fractional inputs alike."""
     ring = TYPED_RINGS[name]
     width = len(ring.gens)
-    rule_types = {type(c) for _, rhs in ring.rules for c in rhs.values()}
+    rule_types = {type(c) for _, rhs in ring.rules for _, c in rhs}
     assert rule_types <= {int, Fraction}
     assert (Fraction in rule_types) is name.endswith("fractional")
     for coeff in (Fraction(2), Fraction(-3, 2)):
@@ -351,6 +352,103 @@ def test_public_results_are_fractions(name):
         assert type(ring.degree_eval(text)) is Fraction
     with pytest.raises(InputError, match="^class coefficient 1 is not a nonzero Fraction"):
         ring.normal_form(NumClass(ring.gens, 1, {(1,) + (0,) * (width - 1): 1}))
+
+
+class _FirstMatch:
+    """An rng for ``_reduce_any_order`` that pops the last pending monomial
+    and takes the first listed rule: one rewrite of the whole polynomial, the
+    order the ring's reducer used before it memoized each monomial's form."""
+
+    def randrange(self, n):
+        return n - 1
+
+    def choice(self, hits):
+        return hits[0]
+
+
+def _fresh_ring(kind, rank, rank2, degree, param):
+    if kind == "curve":
+        return build_curve_bundle_ring(rank, degree)
+    if kind == "fibre":
+        return build_fibre_product_ring(rank, rank2, degree, -param.numerator)
+    if kind == "rho1":
+        return build_lambda_ring_surface(rho1_preset(rank, abs(param), degree))
+    preset = ruled_preset(rank, param, (Fraction(degree, 2), rank2 - 4))
+    build = build_xi_ring_surface if kind == "ruled-xi" else build_lambda_ring_surface
+    return build(preset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("curve", "fibre", "rho1", "ruled", "ruled-xi")),
+    st.integers(2, 6),
+    st.integers(2, 6),
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=4).filter(bool),
+    st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4), min_size=1, max_size=8),
+    st.randoms(use_true_random=False),
+)
+# xi^2*piEta rewrites to Fraction(0)*xi*F here: a cancelled term still types a sum
+@example("ruled-xi", 2, 3, 1, Fraction(1), [[2, 1, 0, 0], [1, 0, 0, 1]], random.Random(0))
+def test_memo_order_does_not_change_forms(kind, rank, rank2, degree, param, exps, rng):
+    """Normal forms are the same on a cold ring and on one whose memo was
+    filled in another order, and equal one rewrite of the whole polynomial by
+    the first matching rule, with the same coefficient types, and by random
+    rules: for single monomials and for sums of those of one degree."""
+    warm = _fresh_ring(kind, rank, rank2, degree, param)
+    width = len(warm.gens)
+    monos = list(dict.fromkeys(tuple(e[:width]) for e in exps))
+    monos = [m for m in monos if warm.monomial_degree(m) <= warm.dim]
+    for mono in rng.sample(monos, len(monos))[::-1]:
+        warm._reduce({mono: 1})
+    groups = {}
+    for i, mono in enumerate(monos):
+        groups.setdefault(warm.monomial_degree(mono), {})[mono] = i + 1
+    for poly in [{m: 1} for m in monos] + list(groups.values()):
+        cold = _fresh_ring(kind, rank, rank2, degree, param)
+        for scale in (1, Fraction(-2, 3)):
+            scaled = {m: scale * c for m, c in poly.items()}
+            want = _reduce_any_order(cold, scaled, _FirstMatch())
+            for ring in (cold, warm):
+                got = ring._reduce(scaled)
+                assert got == want == _reduce_any_order(ring, scaled, rng), poly
+                assert [type(got[m]) for m in want] == [type(c) for c in want.values()], poly
+        k = warm.monomial_degree(next(iter(poly)))
+        texts = [
+            json.dumps(ring.normal_form(NumClass(ring.gens, k, scaled)).to_json())
+            for ring in (cold, warm)
+        ]
+        assert texts[0] == texts[1], poly
+
+
+def test_memo_keys_and_shared_values():
+    """After a sweep that includes inputs above the dimension, every memo
+    key has degree at most the dimension, and no memo value nor rule right
+    side can be assigned into."""
+    rings = (
+        build_curve_bundle_ring(3, -2),
+        build_fibre_product_ring(4, 3, 1, 2),
+        build_lambda_ring_surface(rho1_preset(3, Fraction(3, 2), 1)),
+        build_lambda_ring_surface(ruled_preset(3, Fraction(1, 3), (1, 1))),
+        build_xi_ring_surface(ruled_preset(3, Fraction(1, 2), (1, -1))),
+    )
+    for ring in rings:
+        x, top = ring.gens[0], ring.dim
+        for a, b in product(range(top + 1), repeat=2):
+            for m1, m2 in product(ring.basis_labels(a), ring.basis_labels(b)):
+                ring.normal_form(f"{m1}*{m2}")
+        assert ring.normal_form(f"{x}^{top + 3}").is_zero
+        with pytest.raises(InputError, match="mixes degrees"):
+            ring.normal_form(f"(1 + {x})^{top + 4}")
+        power = (top + 3,) + (0,) * (len(ring.gens) - 1)
+        assert ring.normal_form(NumClass(ring.gens, top + 3, {power: Fraction(1)})).is_zero
+        assert ring.degree_eval(f"{x}^{top}") == ring.degree_eval(f"({x})^{top}")
+        assert ring._forms
+        assert all(ring.monomial_degree(m) <= top for m in ring._forms)
+        shared = [*ring._forms.values(), *(rhs for _, rhs in ring.rules)]
+        for value in shared:
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                value[0] = ((0,) * len(ring.gens), 1)
 
 
 # one ring of each kind, plus an xi-basis ring
