@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add
+from types import MappingProxyType
 
 from .cones import Pairing, RationalCone, primitive
 from .errors import InputError, InternalError
@@ -236,7 +237,7 @@ def _product_layers(kind, rank, param):
     one divisor giving the degree-(d+1) ones, so each multiset is built once,
     and a product that reduces to zero is pruned with everything that would
     extend it. Nothing here depends on k, so every k of one preset reads one
-    entry; it is shared, so treat it as read-only.
+    entry; it is shared, so its layers are a tuple of read-only mappings.
     """
     from .ring import _pmul, build_lambda_ring_surface
 
@@ -248,16 +249,16 @@ def _product_layers(kind, rank, param):
     # same class. Every product is homogeneous of degree below the dimension,
     # so it goes to the rewriting directly. Coefficients are ints unless the
     # base form is not.
-    layers = [{(): {(0,) * len(ring.gens): 1}}]
+    layers = [MappingProxyType({(): MappingProxyType({(0,) * len(ring.gens): 1})})]
     for _ in range(rank):
         layer = {}
         for key, prev in layers[-1].items():
             for i in range(key[-1] if key else 0, len(divisors)):
                 coeffs = ring._reduce(_pmul(prev, divisors[i]))
                 if coeffs:
-                    layer[key + (i,)] = coeffs
-        layers.append(layer)
-    return preset, ring, layers
+                    layer[key + (i,)] = MappingProxyType(coeffs)
+        layers.append(MappingProxyType(layer))
+    return preset, ring, tuple(layers)
 
 
 @lru_cache(maxsize=8)

@@ -15,7 +15,7 @@ import sys
 from .bundles import HNCurveBundle, SurfaceBundleData
 from .errors import InputError, InternalError
 from .presets import SpacePreset, _KINDS
-from .rationals import _cut, _echo, format_rational, parse_coords, parse_rational
+from .rationals import _cut, _echo, format_linear, format_rational, parse_coords, parse_rational
 
 # The ring, cone, zariski and selftest layers are imported inside the commands
 # that use them, so that one call loads only what its command needs.
@@ -27,8 +27,6 @@ from .rationals import _cut, _echo, format_rational, parse_coords, parse_rationa
 # in-process on a shared 2-CPU Xeon (Python 3.11), and its report alone
 # about 14 ms at rank 32 when the host is quiet.
 MAX_RANK = 24
-
-USAGE = "usage: conecalc [-w PATH] [--json] ring|cone|member|zariski|homog|selftest ..."
 
 
 class WorkspaceSpec:
@@ -219,25 +217,20 @@ def _parse_class(spec, tokens, expected):
     return coords
 
 
-def _format_vector(vec):
-    return "(" + ", ".join(format_rational(x) for x in vec) + ")"
-
-
-def _cmd_ring(spec, rest, json_output):
+def _cmd_ring(spec, rest):
     from .ring import build_ring
 
     if not rest or rest[0] != "eval" or len(rest) < 2:
         raise InputError("usage: ring eval <expression>")
-    ring = build_ring(spec.preset)
-    cls = ring.normal_form(" ".join(rest[1:]))
-    if json_output:
-        payload = cls.to_json()
-        payload["text"] = str(cls)
-        return 0, _dump(payload)
-    return 0, f"degree {cls.degree}: {cls}"
+    cls = build_ring(spec.preset).normal_form(" ".join(rest[1:]))
+    return 0, {**cls.to_json(), "text": str(cls)}
 
 
-def _cmd_cone(spec, rest, json_output):
+def _text_ring(payload, spec):
+    return f"degree {payload['degree']}: {payload['text']}"
+
+
+def _cmd_cone(spec, rest):
     from .catalog import cone_report
 
     positional, flags = _split_flags(rest, {"k"})
@@ -246,30 +239,23 @@ def _cmd_cone(spec, rest, json_output):
     which = positional[0]
     report = cone_report(spec.preset, _parse_k(flags), spec.factors)
     cone = report.nef if which == "nef" else report.psef
-    if json_output:
-        payload = cone.to_json()
-        payload.update(
-            {
-                "cone": which,
-                "k": report.k,
-                "basis": list(report.basis),
-                "equal": report.equal,
-            }
-        )
-        return 0, _dump(payload)
-    lines = [
-        f"codimension: {report.k}",
-        "basis: " + ", ".join(report.basis),
-        f"{which} generators:",
-    ]
-    lines += ["  " + _format_vector(g) for g in cone.generators]
-    lines.append(f"nef = psef: {'yes' if report.equal else 'no'}")
-    return 0, "\n".join(lines)
+    payload = cone.to_json()
+    payload.update(cone=which, k=report.k, basis=list(report.basis), equal=report.equal)
+    return 0, payload
 
 
-def _cmd_member(spec, rest, json_output):
+def _text_cone(payload, spec):
+    return "\n".join([
+        f"codimension: {payload['k']}",
+        "basis: " + ", ".join(payload["basis"]),
+        f"{payload['cone']} generators:",
+        *("  (" + ", ".join(g) + ")" for g in payload["generators"]),
+        f"nef = psef: {'yes' if payload['equal'] else 'no'}",
+    ])
+
+
+def _cmd_member(spec, rest):
     from .catalog import cone_report
-    from .cones import inequality_text
 
     positional, flags = _split_flags(rest, {"k", "cone"})
     which = flags.get("cone", "nef")
@@ -281,68 +267,66 @@ def _cmd_member(spec, rest, json_output):
     cone = report.nef if which == "nef" else report.psef
     coords = _parse_class(spec, positional, cone.dim)
     hit = cone.violated_constraint(coords)
-    if json_output:
-        payload = {
-            "member": hit is None,
-            "cone": which,
-            "k": report.k,
-            "basis": list(report.basis),
-            "coordinates": [format_rational(x) for x in coords],
-        }
-        if hit is not None:
-            kind, normal, value = hit
-            payload["violated"] = {
-                "kind": kind,
-                "normal": [format_rational(x) for x in normal],
-                "value": format_rational(value),
-            }
-        return (0 if hit is None else 1), _dump(payload)
-    if hit is None:
-        return 0, f"member of {which} cone: yes"
-    kind, normal, value = hit
-    text = inequality_text(kind, normal, [f"[{label}]" for label in report.basis])
-    return 1, (
-        f"member of {which} cone: no\n"
-        f"violated inequality: {text} (value {format_rational(value)})"
-    )
+    payload = {
+        "member": hit is None,
+        "cone": which,
+        "k": report.k,
+        "basis": list(report.basis),
+        "coordinates": [format_rational(x) for x in coords],
+    }
+    if hit is not None:
+        kind, normal, value = hit
+        normal = [format_rational(x) for x in normal]
+        payload["violated"] = {"kind": kind, "normal": normal, "value": format_rational(value)}
+    return (0 if hit is None else 1), payload
 
 
-def _cmd_zariski(spec, rest, json_output):
+def _text_member(payload, spec):
+    from .cones import inequality_text
+
+    answer = f"member of {payload['cone']} cone: "
+    if payload["member"]:
+        return answer + "yes"
+    hit = payload["violated"]
+    normal = [parse_rational(x, None) for x in hit["normal"]]
+    text = inequality_text(hit["kind"], normal, [f"[{label}]" for label in payload["basis"]])
+    return f"{answer}no\nviolated inequality: {text} (value {hit['value']})"
+
+
+def _cmd_zariski(spec, rest):
     from .zariski import decompose
 
     if len(spec.factors) != 2:
         raise InputError("zariski needs a fibre_product space")
     if not rest:
         raise InputError("usage: zariski <class>")
-    coords = _parse_class(spec, rest, 3)
-    first, second = spec.factors
-    cert = decompose(first, second, coords)
-    if json_output:
-        return 0, _dump(cert.to_json())
-    lines = [f"input: {_format_vector(cert.input_coords)}"]
-    if cert.steps:
-        lines.append(f"steps: {len(cert.steps)}")
-        for i, step in enumerate(cert.steps):
-            lines.append(
-                f"  {i + 1}. factor {step.factor}: center rank "
-                f"{step.blowup_center_rank}, multiplicity "
-                f"{format_rational(step.exceptional_multiplicity)}, "
-                f"to rank {step.to_bundle.rank} degree {step.to_bundle.degree}"
-            )
-    else:
-        lines.append("steps: none")
-    lines.append(f"terminal case: {cert.terminal_case}")
-    lines.append(f"P: {cert.P}")
-    if cert.N:
-        for gen, coeff in cert.N:
-            lines.append(f"N: {format_rational(coeff)} * ({gen})")
-    else:
-        lines.append("N: empty")
-    lines.append(f"verified: {'yes' if cert.verified else 'no'}")
-    return 0, "\n".join(lines)
+    return 0, decompose(*spec.factors, _parse_class(spec, rest, 3)).to_json()
 
 
-def _cmd_homog(spec, rest, json_output):
+def _divisor_text(coords):
+    return format_linear(zip((parse_rational(x, None) for x in coords), ("xi", "zeta", "F")))
+
+
+def _text_zariski(payload, spec):
+    steps = payload["steps"]
+    lines = [f"input: ({', '.join(payload['input'])})", f"steps: {len(steps) or 'none'}"]
+    # a certificate keeps each step's new rank; ReductionStep makes the center rank the drop
+    ranks = {"first": spec.factors[0].rank, "second": spec.factors[1].rank}
+    for i, step in enumerate(steps, 1):
+        factor, to = step["factor"], step["to"]
+        center, ranks[factor] = ranks[factor] - to["rank"], to["rank"]
+        lines.append(
+            f"  {i}. factor {factor}: center rank {center}, multiplicity {step['mult']}, "
+            f"to rank {to['rank']} degree {to['degree']}"
+        )
+    lines += [f"terminal case: {payload['terminal']}", f"P: {_divisor_text(payload['P'])}"]
+    parts = [f"N: {n['coeff']} * ({_divisor_text(n['gen'])})" for n in payload["N"]]
+    lines += parts or ["N: empty"]
+    lines.append(f"verified: {'yes' if payload['verified'] else 'no'}")
+    return "\n".join(lines)
+
+
+def _cmd_homog(spec, rest):
     from .catalog import k_homogeneous_check
 
     positional, flags = _split_flags(rest, {"k"})
@@ -352,24 +336,41 @@ def _cmd_homog(spec, rest, json_output):
         raise InputError("homog needs a surface-base space")
     k = _parse_k(flags)
     answer = k_homogeneous_check(spec.preset, k)
-    if json_output:
-        return (0 if answer else 1), _dump({"k": k, "homogeneous": answer})
-    text = f"codimension-{k} effective and nef cones coincide: "
-    return (0 if answer else 1), text + ("yes" if answer else "no")
+    return (0 if answer else 1), {"k": k, "homogeneous": answer}
 
 
-def _cmd_selftest(json_output):
+def _text_homog(payload, spec):
+    answer = "yes" if payload["homogeneous"] else "no"
+    return f"codimension-{payload['k']} effective and nef cones coincide: {answer}"
+
+
+def _cmd_selftest(spec, rest):
     from .selftest import run_selftest
 
     results = run_selftest()
-    all_ok = all(result["ok"] for result in results)
-    if json_output:
-        text = _dump({"ok": all_ok, "results": results})
-    else:
-        text = "\n".join(
-            f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results
-        )
-    return (0 if all_ok else 1), text
+    ok = all(result["ok"] for result in results)
+    return (0 if ok else 1), {"ok": ok, "results": results}
+
+
+def _text_selftest(payload, spec):
+    return "\n".join(
+        f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in payload["results"]
+    )
+
+
+# Each command's handler returns (exit code, payload), the payload being what
+# --json prints; its renderer turns that payload into the text report. Only
+# zariski's renderer reads the workspace as well, for the factor ranks.
+_COMMANDS = {
+    "ring": (_cmd_ring, _text_ring),
+    "cone": (_cmd_cone, _text_cone),
+    "member": (_cmd_member, _text_member),
+    "zariski": (_cmd_zariski, _text_zariski),
+    "homog": (_cmd_homog, _text_homog),
+    "selftest": (_cmd_selftest, _text_selftest),
+}
+
+USAGE = f"usage: conecalc [-w PATH] [--json] {'|'.join(_COMMANDS)} ..."
 
 
 def _dump(payload):
@@ -379,28 +380,20 @@ def _dump(payload):
 def run_command(spec, command, json_output=False):
     """Dispatch one command list; returns (exit_code, output text)."""
     if not command:
-        raise InputError(
-            "no command given; expected ring, cone, member, zariski, homog or selftest"
-        )
+        *names, last = _COMMANDS
+        raise InputError(f"no command given; expected {', '.join(names)} or {last}")
     head, *rest = command
     if head in ("-h", "--help"):
         return 0, USAGE
-    if head == "selftest":
-        return _cmd_selftest(json_output)
     if head.startswith("-"):
         raise InputError(f"unknown flag {_cut(head)}")
-    if spec is None:
+    if spec is None and head != "selftest":
         raise InputError(f"command {_echo(head)} needs a workspace file (-w PATH)")
-    handlers = {
-        "ring": _cmd_ring,
-        "cone": _cmd_cone,
-        "member": _cmd_member,
-        "zariski": _cmd_zariski,
-        "homog": _cmd_homog,
-    }
-    if head not in handlers:
+    if head not in _COMMANDS:
         raise InputError(f"unknown command {_echo(head)}")
-    return handlers[head](spec, rest, json_output)
+    handler, render = _COMMANDS[head]
+    code, payload = handler(spec, rest)
+    return code, (_dump(payload) if json_output else render(payload, spec))
 
 
 def main(argv=None):

@@ -155,13 +155,16 @@ class Pairing(Record):
         return cls(tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)))
 
 
-class RationalCone:
+class RationalCone(Record):
     """Finitely generated convex cone over the rationals.
 
     Generators are canonicalized (primitive integer vectors, deduplicated,
     descending lex), so equal generator sets compare equal and serialization
-    is deterministic. The empty generator set is the zero cone.
+    is deterministic. The empty generator set is the zero cone. A cone is
+    frozen like every record, so a memoized one can be shared.
     """
+
+    __slots__ = ("dim", "generators", "_facets", "_span_normals")
 
     def __init__(self, dim, generators, _facets=None):
         # _facets: what _dual_basis returns, passed only by closed-form constructors
@@ -173,14 +176,16 @@ class RationalCone:
             if len(g) != dim:
                 raise InputError("generator length does not match the cone dimension")
             gens.append(primitive(g))
-        self.dim = dim
-        self.generators = tuple(sorted(set(gens), reverse=True))
+        gens = tuple(sorted(set(gens), reverse=True))
         # facet inequalities plus span equations: together they cut out the cone
-        facets, span_normals = _facets or _dual_basis(self.generators, dim), ()
+        facets, span_normals = _facets or _dual_basis(gens, dim), ()
         if facets is None:
-            facets, span_normals = _dd_rays(list(self.generators), dim)
-        self._facets = tuple(facets)
-        self._span_normals = tuple(span_normals)
+            facets, span_normals = _dd_rays(list(gens), dim)
+        super().__init__(dim, gens, tuple(facets), tuple(span_normals))
+
+    def __reduce__(self):
+        # the facets are rebuilt from the generators
+        return RationalCone, (self.dim, self.generators)
 
     def __repr__(self):
         body = ", ".join(str(g) for g in self.generators)

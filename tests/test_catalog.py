@@ -1,5 +1,7 @@
 """Closed-form cone constructors and the k-homogeneity oracle."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import floor
@@ -32,7 +34,7 @@ from conecalc.cones import Pairing, RationalCone, _dd_rays, _dual_basis
 from conecalc.errors import InputError
 from conecalc.presets import PROJ_BUNDLE_OVER_SURFACE_RHO1
 from conecalc.ring import NumClass, SpacePreset, _pmul, build_lambda_ring_surface
-from conecalc.zariski import decompose, verify
+from conecalc.zariski import ZariskiCertificate, _divisor, decompose, verify
 
 
 def rho1(rank, L2, e=0):
@@ -474,6 +476,40 @@ def test_one_derivation_serves_every_entry_point(monkeypatch):
     _product_layers.cache_clear()
     assert surface_cone_report(preset, 2).space is built[0]
     assert len(built) == 1
+
+
+def test_shared_cones_and_layers_are_read_only():
+    # a memoized cone or product layer is handed to every caller, so a write
+    # must fail instead of changing the answers of every later caller
+    first = HNCurveBundle(2, 0, [(1, -1), (1, 1)])
+    second = HNCurveBundle(2, 0, [(2, 0)])
+    probe = (1, 0, -100)
+    assert not fibre_product_cones(first, second).nef.contains(probe)
+    cone = nef_fibre_product(first, second)
+    for name in ("dim", "generators", "_facets", "_span_normals", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cone, name, ())
+    for name in ("dim", "generators", "_facets", "_span_normals"):
+        with pytest.raises(AttributeError):
+            delattr(cone, name)
+    assert not fibre_product_cones(first, second).nef.contains(probe)
+    cert = decompose(first, second, (1, 1, 0))
+    bad = ZariskiCertificate(*cert._values()[:3], _divisor(probe), cert.N, True)
+    assert "P not nef" in verify(bad, first, second).reasons
+    # copies and pickles rebuild the facets from the generators
+    for twin in (copy.copy(cone), pickle.loads(pickle.dumps(cone))):
+        assert (twin.dim, twin.generators, twin._facets) == (cone.dim, cone.generators, cone._facets)
+    preset = rho1(4, 3)
+    _, _, layers = _product_layers(preset.kind, preset.rank, preset.L2)
+    with pytest.raises(AttributeError):
+        layers.append({})
+    with pytest.raises(TypeError):
+        layers[1][(0,)] = {}
+    key, coeffs = next(iter(layers[2].items()))
+    with pytest.raises(TypeError):
+        coeffs[next(iter(coeffs))] = 0
+    with pytest.raises(TypeError):
+        del layers[2][key]
 
 
 def _sweep(preset, ks, cold=False):

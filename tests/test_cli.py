@@ -227,6 +227,107 @@ def test_zariski_text_and_json(tmp_path, capsys):
     assert verify(cert, first, second).ok
 
 
+# Two ladders that each take several steps over both factors, with center
+# ranks above 1: the first ends one_corank_one, the second both_corank_one.
+LADDERS = {
+    "one_corank_one": (
+        [[2, -4], [3, 0], [1, 3]],
+        [[1, -1], [2, 0], [2, 4]],
+        "1/2,3,-1",
+        """\
+input: (1/2, 3, -1)
+steps: 3
+  1. factor first: center rank 2, multiplicity 1/2, to rank 4 degree 3
+  2. factor second: center rank 1, multiplicity 3, to rank 4 degree 4
+  3. factor second: center rank 2, multiplicity 3, to rank 2 degree 4
+terminal case: one_corank_one
+P: 3*zeta + 1/2*F
+N: 1/2 * (xi - 3*F)
+verified: yes
+""",
+        {
+            "input": ["1/2", "3", "-1"],
+            "steps": [
+                {
+                    "factor": "first",
+                    "mult": "1/2",
+                    "to": {"name": "E", "rank": 4, "degree": 3, "hn": [[3, 0], [1, 3]]},
+                },
+                {
+                    "factor": "second",
+                    "mult": "3",
+                    "to": {"name": "G", "rank": 4, "degree": 4, "hn": [[2, 0], [2, 4]]},
+                },
+                {
+                    "factor": "second",
+                    "mult": "3",
+                    "to": {"name": "G", "rank": 2, "degree": 4, "hn": [[2, 4]]},
+                },
+            ],
+            "terminal": "one_corank_one",
+            "P": ["0", "3", "1/2"],
+            "N": [{"gen": ["1", "0", "-3"], "coeff": "1/2"}],
+            "verified": True,
+        },
+    ),
+    "both_corank_one": (
+        [[2, -2], [2, 0], [1, 1]],
+        [[2, -4], [2, 0], [1, 1]],
+        "2,1,-5/2",
+        """\
+input: (2, 1, -5/2)
+steps: 2
+  1. factor first: center rank 2, multiplicity 2, to rank 3 degree 1
+  2. factor second: center rank 2, multiplicity 1, to rank 3 degree 1
+terminal case: both_corank_one
+P: 1/2*F
+N: 2 * (xi - F)
+N: 1 * (zeta - F)
+verified: yes
+""",
+        {
+            "input": ["2", "1", "-5/2"],
+            "steps": [
+                {
+                    "factor": "first",
+                    "mult": "2",
+                    "to": {"name": "E", "rank": 3, "degree": 1, "hn": [[2, 0], [1, 1]]},
+                },
+                {
+                    "factor": "second",
+                    "mult": "1",
+                    "to": {"name": "G", "rank": 3, "degree": 1, "hn": [[2, 0], [1, 1]]},
+                },
+            ],
+            "terminal": "both_corank_one",
+            "P": ["0", "0", "1/2"],
+            "N": [
+                {"gen": ["1", "0", "-1"], "coeff": "2"},
+                {"gen": ["0", "1", "-1"], "coeff": "1"},
+            ],
+            "verified": True,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LADDERS))
+def test_multi_step_zariski_text_and_json(tmp_path, capsys, case):
+    first, second, coords, text, certificate = LADDERS[case]
+    workspace = {
+        "base": {"kind": "curve"},
+        "bundles": [
+            {"name": name, "rank": sum(r for r, _ in hn), "degree": sum(d for _, d in hn), "hn": hn}
+            for name, hn in (("E", first), ("G", second))
+        ],
+        "space": {"kind": "fibre_product", "factors": ["E", "G"]},
+    }
+    path = ws_file(tmp_path, workspace)
+    assert run(capsys, ["-w", path, "zariski", coords]) == (0, text)
+    expected = json.dumps(certificate, indent=2, sort_keys=True) + "\n"
+    assert run(capsys, ["-w", path, "--json", "zariski", coords]) == (0, expected)
+
+
 def test_zariski_requires_fibre_product(tmp_path, capsys):
     code, out = run(capsys, ["-w", ws_file(tmp_path, CURVE_WS), "zariski", "1,0"])
     assert code == 2
@@ -807,7 +908,9 @@ def _paths(node, prefix=()):
 @given(st.data())
 def test_workspace_fuzz_exits_cleanly(data):
     """Corrupted workspaces end in exit 0 or 1, or an InputError (exit 2)
-    whose message is short."""
+    whose message is short. Each command runs in both modes: the two give
+    the same exit code or the same refusal, and the text is the command's
+    renderer applied to the parsed JSON."""
     workspace = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
     for _ in range(data.draw(st.integers(0, 2))):
         paths = list(_paths(workspace))
@@ -830,15 +933,24 @@ def test_workspace_fuzz_exits_cleanly(data):
         return
     finally:
         assert time.perf_counter() - start < WALL_S
-    json_output = data.draw(st.booleans())
     expression = data.draw(st.sampled_from(FUZZ_EXPRESSIONS))
     for command in FUZZ_COMMANDS + [("ring", "eval", expression)]:
-        start = time.perf_counter()
-        try:
-            code, _ = cli.run_command(spec, list(command), json_output)
-        except InputError as err:
-            assert len(str(err).encode()) <= MAX_ERROR_BYTES, command[:2]
+        outcomes = []
+        for json_output in (False, True):
+            start = time.perf_counter()
+            try:
+                outcomes.append(cli.run_command(spec, list(command), json_output))
+            except InputError as err:
+                assert len(str(err).encode()) <= MAX_ERROR_BYTES, command[:2]
+                outcomes.append(str(err))
+            finally:
+                assert time.perf_counter() - start < WALL_S, command[:2]
+        plain, machine = outcomes
+        if isinstance(plain, str) or isinstance(machine, str):
+            # a refusal: the same message in both modes
+            assert plain == machine, command
             continue
-        finally:
-            assert time.perf_counter() - start < WALL_S, command[:2]
-        assert code in (0, 1), command
+        (code, text), (json_code, out) = plain, machine
+        assert code in (0, 1) and json_code == code, command
+        render = cli._COMMANDS[command[0]][1]
+        assert render(json.loads(out), spec) == text, command
