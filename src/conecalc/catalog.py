@@ -13,7 +13,7 @@ from math import lcm
 from operator import add
 from types import MappingProxyType
 
-from .cones import Pairing, RationalCone, primitive
+from .cones import Pairing, RationalCone, canonical, primitive
 from .errors import InputError, InternalError
 from .presets import (
     FIBRE_PRODUCT_OVER_CURVE, PROJ_BUNDLE_OVER_CURVE, PROJ_BUNDLE_OVER_RULED_SURFACE,
@@ -44,6 +44,8 @@ class ConeReport(Record):
 
 
 def _report(space, k, basis, nef, psef):
+    if nef.generators == psef.generators:
+        return ConeReport(space, k, tuple(basis), nef, psef, True)
     for g in nef.generators:
         if not psef.contains(g):
             raise InternalError(
@@ -229,15 +231,17 @@ def _checked_cones(preset, k):
 @lru_cache(maxsize=8)
 def _product_layers(kind, rank, param):
     """The c1 = 0, c2 = 0 preset of this kind, rank and base parameter, its
-    lambda ring, and ``layers``: ``layers[d]`` maps the nondecreasing divisor
+    lambda ring, ``layers`` and ``cones``: ``layers[d]`` maps the nondecreasing
     indices of each degree-d product of nef divisor generators that does not
-    reduce to zero to its reduced coefficients, for d = 0..rank.
+    reduce to zero to its reduced coefficients, for d = 0..rank, and ``cones``
+    is a private dict from a degree to its product cone.
 
     Products are built degree by degree, each reduced degree-d product times
     one divisor giving the degree-(d+1) ones, so each multiset is built once,
     and a product that reduces to zero is pruned with everything that would
     extend it. Nothing here depends on k, so every k of one preset reads one
-    entry; it is shared, so its layers are a tuple of read-only mappings.
+    entry; it is shared, so its layers are a tuple of read-only mappings, and
+    ``cones`` only gains keys, on first use, and holds frozen cones.
     """
     from .ring import _pmul, build_lambda_ring_surface
 
@@ -258,7 +262,7 @@ def _product_layers(kind, rank, param):
                 if coeffs:
                     layer[key + (i,)] = MappingProxyType(coeffs)
         layers.append(MappingProxyType(layer))
-    return preset, ring, tuple(layers)
+    return preset, ring, tuple(layers), {}
 
 
 @lru_cache(maxsize=8)
@@ -267,13 +271,15 @@ def _derived_cones(kind, rank, param, k):
     parameter: the degree-k and degree-(rank + 1 - k) layers of its
     ``_product_layers`` entry as product cones, and the pairing dual of the
     second. Returns (psef, nef, basis labels, the c1 = 0 preset)."""
-    balanced, ring, layers = _product_layers(kind, rank, param)
+    balanced, ring, layers, cones = _product_layers(kind, rank, param)
     k2 = (rank + 1) - k
 
     def product_cone(degree):
-        basis = ring.basis(degree)
-        rows = [tuple(c.get(m, 0) for m in basis) for c in layers[degree].values()]
-        return RationalCone(len(basis), rows)
+        if degree not in cones:
+            basis = ring.basis(degree)
+            rows = [tuple(c.get(m, 0) for m in basis) for c in layers[degree].values()]
+            cones[degree] = RationalCone(len(basis), rows)
+        return cones[degree]
 
     psef = product_cone(k)
     psef_complement = product_cone(k2)
@@ -323,7 +329,9 @@ def surface_cone_report(preset, k):
     if k != 1:
         # the cones depend only on rank and L2/mu; k > 1 reports name the c1 = 0 preset
         preset = balanced
-    closed = RationalCone(len(labels), _CLOSED_FORMS[preset.kind](preset, k))
+    closed = _CLOSED_FORMS[preset.kind](preset, k)
+    # identical canonical generators are one cone; only other ones are built
+    closed = psef if canonical(closed) == psef.generators else RationalCone(len(labels), closed)
     if psef != closed:
         raise InternalError("closed-form cone drifted from the product cone")
     return _report(preset, k, labels, nef, closed)

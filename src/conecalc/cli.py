@@ -23,9 +23,9 @@ from .rationals import _cut, _echo, format_linear, format_rational, parse_coords
 
 # Largest bundle rank a workspace may give. The cost of a surface cone report
 # grows with rank; the worst cone or homog call at this rank (a ruled base,
-# k = 1 or rank - 1), the first in a fresh interpreter, takes 15-26 ms
-# in-process on a shared 2-CPU Xeon (Python 3.11), and its report alone
-# about 14 ms at rank 32 when the host is quiet.
+# k = 1 or rank - 1), first in a fresh interpreter, takes 3-4 ms in-process
+# with compiled bytecode (15-16 ms if its modules compile first) on a shared
+# 2-CPU Xeon (Python 3.11); its report alone takes about 2.5 ms at rank 32.
 MAX_RANK = 24
 
 

@@ -8,7 +8,9 @@ in closed form, in dual-basis order; any other simplicial cone (exactly
 dim linearly independent generators) takes them from the dual basis, the
 columns of the inverse generator matrix; every other cone gets them from a
 double description pass over the dual side. Duality scales the pairing to
-integers once, so its double description runs on primitive integer rows too.
+integers once. A dual whose pairing rows are dim independent rows takes its
+rays from their dual basis and its facets from the rows themselves; any
+other runs double description on the primitive integer rows.
 
 The double description maintains (lineality basis, extreme rays, tight
 sets). The lineality basis always spans the intersection of the processed
@@ -49,6 +51,11 @@ def _dot(u, v):
 
 def _combine(scale_p, p, scale_q, q):
     return tuple(scale_p * a + scale_q * b for a, b in zip(p, q))
+
+
+def canonical(generators):
+    """Primitive, deduplicated, descending lex: the generators a cone keeps."""
+    return tuple(sorted(set(map(primitive, generators)), reverse=True))
 
 
 def _dd_rays(rows, dim):
@@ -167,16 +174,14 @@ class RationalCone(Record):
     __slots__ = ("dim", "generators", "_facets", "_span_normals")
 
     def __init__(self, dim, generators, _facets=None):
-        # _facets: what _dual_basis returns, passed only by closed-form constructors
+        # _facets: what _dual_basis returns, passed by closed forms and simplicial duals
         dim = int(dim)
         if not 1 <= dim <= MAX_DIM:
             raise InputError(f"cone dimension {dim} outside 1..{MAX_DIM}")
-        gens = []
-        for g in generators:
-            if len(g) != dim:
-                raise InputError("generator length does not match the cone dimension")
-            gens.append(primitive(g))
-        gens = tuple(sorted(set(gens), reverse=True))
+        generators = tuple(generators)
+        if any(len(g) != dim for g in generators):
+            raise InputError("generator length does not match the cone dimension")
+        gens = canonical(generators)
         # facet inequalities plus span equations: together they cut out the cone
         facets, span_normals = _facets or _dual_basis(gens, dim), ()
         if facets is None:
@@ -196,6 +201,8 @@ class RationalCone(Record):
             return NotImplemented
         if self.dim != other.dim:
             return False
+        if self.generators == other.generators:
+            return True
         return all(other.contains(g) for g in self.generators) and all(
             self.contains(g) for g in other.generators
         )
@@ -248,7 +255,13 @@ class RationalCone(Record):
         matrix = [[x.numerator * (scale // x.denominator) for x in row] for row in pairing.matrix]
         columns = list(zip(*matrix))
         rows = [tuple(_dot(g, column) for column in columns) for g in self.generators]
-        rays, lineality = _dd_rays([primitive(row) for row in rows if any(row)], self.dim)
+        rows = [primitive(row) for row in rows if any(row)]
+        rays = _dual_basis(rows, self.dim)
+        if rays is not None:
+            # ray i pairs to zero with every row but row i, so row i is its facet
+            rays, rows = zip(*sorted(zip(rays, rows), reverse=True))
+            return RationalCone(self.dim, rays, _facets=rows)
+        rays, lineality = _dd_rays(rows, self.dim)
         gens = list(rays)
         for l in lineality:
             gens.append(l)

@@ -23,6 +23,7 @@ from .presets import (
     FIBRE_PRODUCT_OVER_CURVE, NumClass, SpacePreset, _require_c2_end_zero, format_monomial,
 )
 from .rationals import _echo
+from .record import Record
 
 
 def _clean(poly):
@@ -45,18 +46,20 @@ def _pmul(a, b):
     return _clean(out)
 
 
-class IntersectionRing:
-    """Numerical ring of a preset space; all queries are pure and exact."""
+class IntersectionRing(Record):
+    """Numerical ring of a preset space; all queries are pure and exact.
+    Frozen like a record, but equal only to itself; its memos fill in place."""
+
+    __slots__ = ("gens", "gen_degrees", "dim", "top_monomial", "rules", "_basis_cache", "_forms")
+    __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
 
     def __init__(self, gens, gen_degrees, dim, rules, top_monomial):
-        self.gens = tuple(gens)
-        self.gen_degrees = tuple(int(d) for d in gen_degrees)
-        self.dim = int(dim)
-        self.top_monomial = tuple(top_monomial)
-        self.rules = tuple(
+        rules = tuple(
             (tuple(lhs), tuple((tuple(m), _exact(c)) for m, c in rhs.items() if c != 0))
             for lhs, rhs in rules
         )
+        degrees = tuple(int(d) for d in gen_degrees)
+        super().__init__(tuple(gens), degrees, int(dim), tuple(top_monomial), rules, {}, {})
         for lhs, rhs in self.rules:
             want = self.monomial_degree(lhs)
             if any(self.monomial_degree(m) != want for m, _ in rhs):
@@ -67,8 +70,10 @@ class IntersectionRing:
             raise InternalError("top monomial is reducible")
         if any(sum(lhs) == 1 for lhs, _ in self.rules):
             raise InternalError("a generator is reducible")
-        self._basis_cache = {}
-        self._forms = {}
+
+    def __reduce__(self):
+        rules = [(lhs, dict(rhs)) for lhs, rhs in self.rules]
+        return IntersectionRing, (self.gens, self.gen_degrees, self.dim, rules, self.top_monomial)
 
     def monomial_degree(self, mono):
         return sum(e * d for e, d in zip(mono, self.gen_degrees))
@@ -179,28 +184,41 @@ class IntersectionRing:
 
     def basis(self, k):
         """Irreducible monomials of degree k, descending lex. Frozen order:
-        this list defines coordinates and serialization for degree k."""
+        this list defines coordinates and serialization for degree k. Exponents
+        go left to right, each from its largest value down, below its
+        generator's pure-power rule; a mixed left side is tested once, at its
+        last exponent, and a prefix stops when later generators cannot fill k."""
         if not 0 <= k <= self.dim:
             raise InputError(f"degree {k} out of range 0..{self.dim}")
         if k not in self._basis_cache:
+            degrees, last = self.gen_degrees, len(self.gens) - 1
+            caps = [k] * (last + 1)  # no exponent of degree k passes k
+            mixed = [[] for _ in caps]
+            for lhs, _ in self.rules:
+                support = [i for i, e in enumerate(lhs) if e]
+                if len(support) == 1:
+                    caps[support[0]] = min(caps[support[0]], lhs[support[0]] - 1)
+                else:
+                    mixed[support[-1]].append(lhs)
+            carry = [0] * (last + 1)  # the most degree generators after i hold
+            for i in range(last, 0, -1):
+                carry[i - 1] = carry[i] + caps[i] * degrees[i]
             found = []
-            last = len(self.gens) - 1
 
-            def walk(prefix, remaining):
-                idx = len(prefix)
-                step = self.gen_degrees[idx]
-                if idx == last:
-                    # the last exponent is whatever degree is left, if it divides
-                    if remaining % step == 0:
-                        mono = tuple(prefix) + (remaining // step,)
-                        if not any(all(map(ge, mono, lhs)) for lhs, _ in self.rules):
-                            found.append(mono)
-                    return
-                for e in range(remaining // step, -1, -1):
-                    walk(prefix + [e], remaining - e * step)
+            def walk(prefix, idx, remaining):
+                for e in range(min(remaining // degrees[idx], caps[idx]), -1, -1):
+                    rest = remaining - e * degrees[idx]
+                    if rest > carry[idx]:
+                        break  # a smaller e leaves even more
+                    mono = prefix + (e,)
+                    if any(all(map(ge, mono, lhs)) for lhs in mixed[idx]):
+                        continue
+                    if idx == last:
+                        found.append(mono)
+                    else:
+                        walk(mono, idx + 1, rest)
 
-            walk([], k)
-            # the descending loop above already emits descending lex order
+            walk((), 0, k)
             self._basis_cache[k] = tuple(found)
         return self._basis_cache[k]
 

@@ -5,6 +5,7 @@ import pickle
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import floor
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +34,9 @@ from conecalc.catalog import (
 from conecalc.cones import Pairing, RationalCone, _dd_rays, _dual_basis
 from conecalc.errors import InputError
 from conecalc.presets import PROJ_BUNDLE_OVER_SURFACE_RHO1
-from conecalc.ring import NumClass, SpacePreset, _pmul, build_lambda_ring_surface
+from conecalc.ring import (
+    IntersectionRing, NumClass, SpacePreset, _pmul, build_lambda_ring_surface,
+)
 from conecalc.zariski import ZariskiCertificate, _divisor, decompose, verify
 
 
@@ -442,6 +445,30 @@ def test_constructors_match_first_principles():
             assert ruled_report.psef == psef and ruled_report.nef == nef
 
 
+def test_closed_forms_are_checked_on_every_report(monkeypatch):
+    from conecalc import catalog
+    from conecalc.errors import InternalError
+
+    preset = ruled(3, Fraction(3, 2))
+    psef, nef, _ = homogeneity_cones(preset, 1)
+    # the literal generators match the product cone's: the report reuses it
+    assert surface_cone_report(preset, 1).psef is psef
+    kind = preset.kind
+    real = catalog._CLOSED_FORMS[kind]
+    # a closed form that spans the same cone with a redundant ray is built
+    # and compared by containment, and passes
+    redundant = {kind: lambda p, k: real(p, k) + ((1, 1, 0),)}
+    monkeypatch.setattr(catalog, "_CLOSED_FORMS", redundant)
+    report = surface_cone_report(preset, 1)
+    assert report.psef is not psef and report.psef == psef and report.equal
+    assert report.psef.generators != psef.generators
+    # one that drifts, on a warm memo, is refused
+    drifted = {kind: lambda p, k: ((1, 0, 0), (0, 1, -p.mu - 1), (0, 0, 1))}
+    monkeypatch.setattr(catalog, "_CLOSED_FORMS", drifted)
+    with pytest.raises(InternalError, match="closed-form cone drifted"):
+        surface_cone_report(preset, 1)
+
+
 # --- the memo of the first-principles cones
 
 
@@ -451,11 +478,14 @@ def _clear_memos():
 
 
 def test_one_derivation_serves_every_entry_point(monkeypatch):
-    from conecalc import ring
+    from conecalc import catalog, ring
 
     built = []
     real = ring.build_lambda_ring_surface
     monkeypatch.setattr(ring, "build_lambda_ring_surface", lambda p: built.append(p) or real(p))
+    cones = []
+    real_cone = catalog.RationalCone
+    monkeypatch.setattr(catalog, "RationalCone", lambda *a: cones.append(a) or real_cone(*a))
     _clear_memos()
     # c1 != 0: the k > 1 report names the c1 = 0 preset, and shares its entry
     preset = rho1(5, 5, 2)
@@ -465,12 +495,19 @@ def test_one_derivation_serves_every_entry_point(monkeypatch):
         surface_cone_report(preset, k)
     # one lambda ring for every k of the preset
     assert len(built) == 1
+    # one product cone per degree 1..5, each read by two k; the closed forms
+    # match them, so no report builds one
+    assert len(cones) == 5
     # per k: one miss, then two hits on the same (kind, rank, L2, k)
     info = _derived_cones.cache_info()
     assert (info.hits, info.misses, info.maxsize) == (8, 4, 8)
     # one miss, then a hit from each later k's derivation
     info = _product_layers.cache_info()
     assert (info.hits, info.misses, info.maxsize) == (3, 1, 8)
+    degree_cones = _product_layers(preset.kind, preset.rank, preset.L2)[3]
+    assert sorted(degree_cones) == [1, 2, 3, 4, 5]
+    for k in range(1, 5):
+        assert homogeneity_cones(preset, k)[0] is degree_cones[k]
     # the report names the shared entry's preset, read from the k entry even
     # when the preset's entry is gone
     _product_layers.cache_clear()
@@ -500,7 +537,8 @@ def test_shared_cones_and_layers_are_read_only():
     for twin in (copy.copy(cone), pickle.loads(pickle.dumps(cone))):
         assert (twin.dim, twin.generators, twin._facets) == (cone.dim, cone.generators, cone._facets)
     preset = rho1(4, 3)
-    _, _, layers = _product_layers(preset.kind, preset.rank, preset.L2)
+    homogeneity_cones(preset, 2)
+    _, _, layers, cones = _product_layers(preset.kind, preset.rank, preset.L2)
     with pytest.raises(AttributeError):
         layers.append({})
     with pytest.raises(TypeError):
@@ -510,6 +548,35 @@ def test_shared_cones_and_layers_are_read_only():
         coeffs[next(iter(coeffs))] = 0
     with pytest.raises(TypeError):
         del layers[2][key]
+    # the per-degree product cones are frozen like every shared cone
+    assert set(cones) == {2, 3}
+    for cone in cones.values():
+        with pytest.raises(AttributeError):
+            cone._facets = ()
+
+
+def test_shared_ring_is_read_only():
+    # the ring of a _product_layers entry is handed to every k of its preset,
+    # so a write must fail instead of breaking every later derivation
+    preset = rho1(3, 2)
+    _, ring, _, _ = _product_layers(preset.kind, preset.rank, preset.L2)
+    _derived_cones.cache_clear()
+    for name in ("dim", "gens", "gen_degrees", "top_monomial", "rules", "_forms", "_basis_cache"):
+        with pytest.raises(AttributeError):
+            setattr(ring, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(ring, name)
+    with pytest.raises(AttributeError):
+        ring.other = 1
+    assert ring.dim == 4
+    assert k_homogeneous_check(preset, 1)
+    # equality stays identity; a copy or a pickle rebuilds an equivalent ring
+    for twin in (copy.copy(ring), pickle.loads(pickle.dumps(ring))):
+        assert twin != ring and twin == twin
+        assert (twin.gens, twin.gen_degrees, twin.dim, twin.rules, twin.top_monomial) == (
+            ring.gens, ring.gen_degrees, ring.dim, ring.rules, ring.top_monomial
+        )
+        assert all(twin.basis(d) == ring.basis(d) for d in range(ring.dim + 1))
 
 
 def _sweep(preset, ks, cold=False):
@@ -667,3 +734,108 @@ def test_incremental_products_equal_from_scratch(case):
     for got, want in ((psef, want_psef), (nef, want_nef)):
         assert got.to_json() == want.to_json()
         assert got._facets == want._facets
+
+
+# --- the memo entries stay as built through a sweep of every entry point
+
+
+SURFACE_POOL = (rho1(4, 3), rho1(3, Fraction(5, 2), 1), ruled(3, Fraction(1, 3), (1, 2)))
+CURVE_POOL = (
+    HNCurveBundle(3, 0, [(1, -2), (1, 0), (1, 2)]),
+    HNCurveBundle(2, 1),
+    HNCurveBundle(2, 0, [(1, -1), (1, 1)]),
+)
+
+
+def _public(value):
+    """What a caller reads of a memo entry, in a form pickle compares: a
+    cone with its facet table, a ring by its fields, a mapping by its items."""
+    if isinstance(value, RationalCone):
+        return ("cone", value.dim, value.generators, value._facets, value._span_normals)
+    if isinstance(value, IntersectionRing):
+        return ("ring", value.gens, value.gen_degrees, value.dim, value.top_monomial, value.rules)
+    if isinstance(value, (dict, MappingProxyType)):
+        return ("map", [(key, _public(v)) for key, v in sorted(value.items(), key=lambda kv: kv[0])])
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_public, value))
+    return value
+
+
+def _surface_key(preset):
+    return preset.kind, preset.rank, getattr(preset, preset.surface().param)
+
+
+def _memo_entries():
+    """Every entry the pools fill, by direct lookup: (entry, its public part)."""
+    entries = []
+    for preset in SURFACE_POOL:
+        key = _surface_key(preset)
+        entries.append(_product_layers(*key)[:3])
+        entries += [_derived_cones(*key, k) for k in range(1, preset.rank)]
+    for bundle in CURVE_POOL:
+        for other in CURVE_POOL:
+            for piece in (_lowest, _highest):
+                entries.append(_pieces_cone((piece(bundle), piece(other))))
+        entries.append(_pieces_cone((_lowest(bundle),)))
+    return entries
+
+
+def _every_entry_point(data):
+    """One call of each public catalog, cone, ring and zariski entry point
+    on pool inputs, with drawn probes, pairings and classes."""
+    preset = data.draw(st.sampled_from(SURFACE_POOL))
+    k = data.draw(st.integers(1, preset.rank - 1))
+    psef, nef, labels = homogeneity_cones(preset, k)
+    k_homogeneous_check(preset, k)
+    report = surface_cone_report(preset, k)
+    assert cone_report(preset, k, ()) == report
+    _, ring, _, _ = _product_layers(*_surface_key(preset))
+    coords = data.draw(st.lists(st.integers(-3, 3), min_size=len(labels), max_size=len(labels)))
+    cls = ring.class_from_coordinates(k, coords)
+    ring.normal_form(cls)
+    ring.normal_form(" + ".join(f"({c})*{m}" for c, m in zip(coords, labels)))
+    ring.degree_eval(f"lambda^{ring.dim - 2}*F")
+    ring.basis_labels(data.draw(st.integers(0, ring.dim)))
+    first, second = data.draw(st.sampled_from(CURVE_POOL)), data.draw(st.sampled_from(CURVE_POOL))
+    miyaoka_cones(first)
+    fibre_product_cones(first, second)
+    iterated_fibre_product_cones([b for b in (first, second) if b.semistable])
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))
+    gens = psef_fibre_product(first, second).generators
+    point = tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(3))
+    if any(point):
+        assert verify(decompose(first, second, point), first, second)
+    for cone in (psef, nef, report.nef, report.psef, nef_fibre_product(first, second)):
+        probe = data.draw(st.lists(st.integers(-4, 4), min_size=cone.dim, max_size=cone.dim))
+        cone.violated_constraint(probe)
+        cone.contains([Fraction(x, 2) for x in probe])
+        matrix = data.draw(
+            st.lists(st.lists(st.integers(-2, 2), min_size=cone.dim, max_size=cone.dim),
+                     min_size=cone.dim, max_size=cone.dim)
+        )
+        cone.dual(Pairing(matrix))
+        cone.extremal_rays()
+        cone.to_json()
+        assert cone == copy.copy(cone) == pickle.loads(pickle.dumps(cone))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_memo_entries_survive_every_entry_point(data):
+    entries = _memo_entries()
+    before = pickle.dumps(_public(entries))
+    cones = {p: _product_layers(*_surface_key(p))[3] for p in SURFACE_POOL}
+    built = {p: dict(c) for p, c in cones.items()}
+    for _ in range(3):
+        _every_entry_point(data)
+    assert pickle.dumps(_public(entries)) == before
+    for preset, degree_cones in cones.items():
+        # the private per-degree cones only gain keys ...
+        assert all(degree_cones[d] is cone for d, cone in built[preset].items())
+        # ... and each is the cone its layer spans, facets included
+        _, ring, layers, _ = _product_layers(*_surface_key(preset))
+        for degree, cone in degree_cones.items():
+            basis = ring.basis(degree)
+            rows = [[c.get(m, 0) for m in basis] for c in layers[degree].values()]
+            rebuilt = RationalCone(len(basis), rows)
+            assert (cone.generators, cone._facets) == (rebuilt.generators, rebuilt._facets)

@@ -1,5 +1,7 @@
 """Exact polyhedral cones: membership, duality, extremal rays."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd, lcm
 from unittest import mock
@@ -414,3 +416,119 @@ def test_integer_dual_on_singular_pairing_and_zero_cone():
     for case, pairing in ((cone, singular), (zero, singular), (zero, Pairing.standard(3))):
         _assert_same_cone(case.dual(pairing), _fraction_dual(case, pairing))
     assert zero.dual(singular).to_json() == zero.dual().to_json()
+
+
+# --- the simplicial dual against double description on the same rows -------
+
+
+# st.fractions is slow to draw; 36 pairing entries at dim 6 need a cheap one
+cheap_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _invertible(draw, dim):
+    """A lower unitriangular times an upper triangular matrix with a nonzero
+    diagonal: nonsingular however many zeros the draws give."""
+    lower = [[draw(cheap_rationals) if j < i else int(i == j) for j in range(dim)] for i in range(dim)]
+    upper = [
+        [draw(cheap_rationals.filter(bool) if i == j else cheap_rationals) if j >= i else 0
+         for j in range(dim)]
+        for i in range(dim)
+    ]
+    return [[sum(lower[i][t] * upper[t][j] for t in range(dim)) for j in range(dim)] for i in range(dim)]
+
+
+@st.composite
+def cones_with_any_pairing(draw):
+    dim = draw(st.integers(1, 6))
+    vec = st.tuples(*[cheap_rationals] * dim).filter(any)
+    shape = draw(st.sampled_from(["simplex", "simplex", "extra", "deficient"]))
+    if shape == "deficient":
+        base = draw(st.lists(vec, min_size=1, max_size=max(1, dim - 1)))
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(base), max_size=len(base)))
+        combo = tuple(sum(w * v[i] for w, v in zip(weights, base)) for i in range(dim))
+        gens = base + ([combo] if any(combo) else [])
+    else:
+        gens = _invertible(draw, dim)
+        if shape == "extra":
+            gens.append(draw(vec))
+    if draw(st.integers(0, 2)):
+        matrix = _invertible(draw, dim)
+    else:
+        # singular: the last row is a multiple of the sum of the others
+        matrix = draw(st.lists(st.lists(cheap_rationals, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+        scale = draw(cheap_rationals)
+        matrix[-1] = [scale * sum(row[j] for row in matrix[:-1]) for j in range(dim)]
+    return RationalCone(dim, gens), Pairing(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cones_with_any_pairing())
+def test_dual_equals_dd_on_the_same_rows(case):
+    cone, pairing = case
+    dim = cone.dim
+    scale = lcm(*(x.denominator for row in pairing.matrix for x in row))
+    matrix = [[x * scale for x in row] for row in pairing.matrix]
+    rows = [
+        primitive([sum(g[i] * matrix[i][j] for i in range(dim)) for j in range(dim)])
+        for g in cone.generators
+        if any(sum(g[i] * matrix[i][j] for i in range(dim)) for j in range(dim))
+    ]
+    rays, lineality = _dd_rays(list(rows), dim)
+    want = RationalCone(
+        dim, list(rays) + [v for l in lineality for v in (l, tuple(-x for x in l))]
+    )
+    simplicial = len(rows) == dim and lineality == []
+    if simplicial:
+        # dim independent rows: the dual basis answers, with no DD pass
+        with mock.patch("conecalc.cones._dd_rays", side_effect=AssertionError):
+            got = cone.dual(pairing)
+    else:
+        got = cone.dual(pairing)
+    assert got.generators == want.generators
+    assert got._facets == want._facets
+    assert got._span_normals == want._span_normals
+    for twin in (copy.copy(got), pickle.loads(pickle.dumps(got))):
+        assert (twin.generators, twin._facets, twin._span_normals) == (
+            got.generators, got._facets, got._span_normals
+        )
+
+
+@st.composite
+def cone_pairs(draw):
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
+    gens = draw(st.lists(vec, min_size=1, max_size=dim + 1))
+    shape = draw(st.sampled_from(["random", "redundant", "rescaled"]))
+    if shape == "random":
+        other = draw(st.lists(vec, min_size=1, max_size=dim + 1))
+    elif shape == "redundant":
+        # a positive combination of two generators adds nothing to the cone
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        other = gens + [tuple(2 * x + 3 * y for x, y in zip(a, b))]
+    else:
+        other = [tuple(draw(st.integers(1, 4)) * x for x in g) for g in reversed(gens)]
+    return RationalCone(dim, gens), RationalCone(dim, other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_pairs())
+def test_eq_agrees_with_two_way_containment(case):
+    a, b = case
+    both = all(b.contains(g) for g in a.generators) and all(a.contains(g) for g in b.generators)
+    assert (a == b) is both
+    assert (b == a) is both
+    assert (a != b) is not both
+
+
+def test_eq_on_different_generator_tuples():
+    # equal cones whose canonical generators differ: a redundant ray, and a
+    # line spanned two ways
+    plain = RationalCone(2, [(1, 0), (0, 1)])
+    redundant = RationalCone(2, [(1, 0), (0, 1), (1, 1)])
+    assert plain.generators != redundant.generators
+    assert plain == redundant and redundant == plain
+    line = RationalCone(2, [(1, 1), (-1, -1)])
+    assert line == RationalCone(2, [(2, 2), (-1, -1), (3, 3)])
+    assert line != RationalCone(2, [(1, 1)])
+    assert RationalCone(2, []) != plain
+    assert RationalCone(2, []) == RationalCone(2, [])

@@ -481,6 +481,60 @@ def test_basis_equals_brute_force(ring):
         assert ring.basis(k) == tuple(expected), k
 
 
+def _full_walk_basis(ring, k):
+    """The basis as the walk before the staircase enumerated it: every
+    exponent of every generator, each full tuple tested against every rule."""
+    found = []
+    last = len(ring.gens) - 1
+
+    def walk(prefix, remaining):
+        idx = len(prefix)
+        step = ring.gen_degrees[idx]
+        if idx == last:
+            if remaining % step == 0:
+                mono = tuple(prefix) + (remaining // step,)
+                if not any(all(map(ge, mono, lhs)) for lhs, _ in ring.rules):
+                    found.append(mono)
+            return
+        for e in range(remaining // step, -1, -1):
+            walk(prefix + [e], remaining - e * step)
+
+    walk([], k)
+    return tuple(found)
+
+
+small_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+
+
+@st.composite
+def rings_of_every_kind(draw):
+    kind = draw(st.sampled_from(["curve", "fibre", "rho1", "ruled", "ruled-xi"]))
+    rank = draw(st.integers(2, 24))
+    if kind == "curve":
+        return build_curve_bundle_ring(rank, draw(st.integers(-5, 5)))
+    if kind == "fibre":
+        degrees = draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+        return build_fibre_product_ring(rank, draw(st.integers(2, 24)), *degrees)
+    if kind == "rho1":
+        L2 = draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3)))
+        return build_lambda_ring_surface(rho1_preset(rank, L2, draw(small_fractions)))
+    preset = ruled_preset(rank, draw(small_fractions), draw(st.tuples(small_fractions, small_fractions)))
+    build = build_lambda_ring_surface if kind == "ruled" else build_xi_ring_surface
+    return build(preset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings_of_every_kind())
+@example(build_lambda_ring_surface(ruled_preset(24, Fraction(7, 3), (0, 0))))
+@example(build_xi_ring_surface(ruled_preset(24, Fraction(-1, 2), (1, 2))))
+@example(build_fibre_product_ring(24, 24, 3, -2))
+def test_staircase_basis_equals_full_walk(ring):
+    # the staircase prunes by caps, mixed left sides and leftover degree; the
+    # full walk tests every complete exponent tuple against every rule
+    for k in range(ring.dim + 1):
+        assert ring.basis(k) == _full_walk_basis(ring, k), k
+
+
 def test_degree_eval_linear():
     ring = build_fibre_product_ring(3, 2, 4, -1)
     rng = random.Random(3)
