@@ -7,9 +7,8 @@ nef divisor generators on one side, pairing duality on the other) and so
 serves as the constructors' oracle.
 """
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
 
@@ -93,17 +92,18 @@ def _pieces_cone(pieces):
 
     Each factor adds one ray, a primitive integer row, and F comes last. The
     facets are closed-form (Miyaoka; Fulger), in dual-basis order: a_i >= 0
-    for each i, then c + sum mu_i*a_i >= 0.
+    for each i, then c + sum mu_i*a_i >= 0. Each slope mu_i = d/r (r > 0)
+    is taken in lowest terms by integer ``gcd``, with no `Fraction`.
     """
     n = len(pieces)
-    slopes = [Fraction(d, r) for r, d in pieces]
+    slopes = [(d // g, r // g) for r, d in pieces for g in (gcd(r, d),)]
     rows = [
-        tuple(s.denominator * (j == i) for j in range(n)) + (-s.numerator,)
-        for i, s in enumerate(slopes)
+        tuple(den * (j == i) for j in range(n)) + (-num,)
+        for i, (num, den) in enumerate(slopes)
     ]
-    top = lcm(*(s.denominator for s in slopes))
+    top = lcm(*(den for _, den in slopes))
     facets = [tuple(int(j == i) for j in range(n + 1)) for i in range(n)]
-    facets.append(primitive([top // s.denominator * s.numerator for s in slopes] + [top]))
+    facets.append(primitive([top // den * num for num, den in slopes] + [top]))
     return RationalCone(n + 1, rows + [(0,) * n + (1,)], _facets=facets)
 
 

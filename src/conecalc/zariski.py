@@ -11,6 +11,8 @@ objects: `verify` re-derives every claim from the two bundles alone, and
 `decompose` refuses to return a certificate its own verifier rejects.
 """
 
+from fractions import Fraction
+
 from . import bundles as bn
 from .bundles import HNCurveBundle
 from .catalog import nef_fibre_product, psef_fibre_product
@@ -29,6 +31,7 @@ BOTH_CORANK_ONE = "both_corank_one"
 TERMINAL_CASES = (BOTH_SEMISTABLE, ONE_CORANK_ONE, BOTH_CORANK_ONE)
 
 _IDENTITY_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_EXACT = (Fraction, Fraction, Fraction)
 
 
 def _divisor(coords):
@@ -41,7 +44,10 @@ def _divisor(coords):
 
 def _coords(cls):
     """The (a, b, c) coordinates of a divisor class on the fibre product,
-    given as a ring class or as a triple of rationals."""
+    given as a ring class or as a triple of rationals. A tuple of three
+    `Fraction`s is returned as it is."""
+    if type(cls) is tuple and tuple(map(type, cls)) == _EXACT:
+        return cls
     if isinstance(cls, NumClass):
         if cls.degree != 1 or len(cls.gens) != 3:
             raise InputError("expected a divisor class on the fibre product")
@@ -252,17 +258,18 @@ def terminal_decompose(first, second, cls):
     a, b, c = _coords(cls)
     mu1 = bn.mu_max(first)
     mu2 = bn.mu_max(second)
-    expansion = (
-        (a, ((1, "xi"), (-mu1, "F"))),
-        (b, ((1, "zeta"), (-mu2, "F"))),
-        (c + a * mu1 + b * mu2, ((1, "F"),)),
-    )
-    for value, terms in expansion:
-        if value < 0:
-            raise InputError(
-                "class is not pseudoeffective: expansion coefficient of "
-                f"{format_linear(terms)} is {format_rational(value)}"
-            )
+    c_final = c + a * mu1 + b * mu2
+    if a < 0 or b < 0 or c_final < 0:
+        expansion = (
+            (a, ((1, "xi"), (-mu1, "F"))),
+            (b, ((1, "zeta"), (-mu2, "F"))),
+            (c_final, ((1, "F"),)),
+        )
+        value, terms = next(entry for entry in expansion if entry[0] < 0)
+        raise InputError(
+            "class is not pseudoeffective: expansion coefficient of "
+            f"{format_linear(terms)} is {format_rational(value)}"
+        )
     _require_pair_ranks(first, second)
     N = []
     if not first.semistable:
@@ -285,8 +292,9 @@ def decompose(first, second, cls, order="first_then_second"):
     Pseudoeffectivity is tested once, on entry, against the psef cone of
     the input pair; a non-member is rejected with the violated facet
     inequality. Peeling minimal-slope quotients keeps mu_max, so that cone
-    is the terminal pair's too. The certificate is verified, nefness of P
-    included, before being returned.
+    is the terminal pair's too. The certificate is built once, marked
+    verified, and `verify` (which never reads the mark) checks it, nefness
+    of P included: a rejection raises `InternalError` instead of returning.
     """
     if order not in ("first_then_second", "second_then_first"):
         raise InputError(f"unknown reduction order {order!r}")
@@ -301,13 +309,14 @@ def decompose(first, second, cls, order="first_then_second"):
             steps.append(step)
             chain[idx] = step.to_bundle
     P, N = terminal_decompose(chain[0], chain[1], coords)
-    fields = (coords, tuple(steps), _terminal_label(chain[0], chain[1]), P, N)
-    result = verify(ZariskiCertificate(*fields, verified=False), first, second)
+    label = _terminal_label(chain[0], chain[1])
+    cert = ZariskiCertificate(coords, tuple(steps), label, P, N, verified=True)
+    result = verify(cert, first, second)
     if not result:
         raise InternalError(
             "decomposition failed its own verification: " + "; ".join(result.reasons)
         )
-    return ZariskiCertificate(*fields, verified=True)
+    return cert
 
 
 class VerifyResult(Record):
@@ -327,7 +336,11 @@ def verify(cert, first, second):
     against the input. P and the N generators may be ring classes or
     coordinate triples, as `decompose` takes them; anything else is a
     reason. Never raises; returns a VerifyResult that is falsy when any
-    reason was collected.
+    reason was collected. An `HNCurveBundle` (frozen, validated when built)
+    whose rank, degree and ladder are the chain's ladder slice
+    ``quotients[1:]`` and its sums carries the chain on; any other reduced
+    bundle is checked against `sub_bundle_after_step`. ``cert.verified`` is
+    never read.
     """
     reasons = []
     if first.rank < 2 or second.rank < 2:
@@ -347,7 +360,13 @@ def verify(cert, first, second):
             reasons.append(
                 f"{label}: center rank is not the minimal-slope quotient rank"
             )
-        reduced = bn.sub_bundle_after_step(current, 1)
+        reduced, rest = step.to_bundle, current.quotients[1:]
+        if not (
+            type(reduced) is HNCurveBundle
+            and (reduced.rank, reduced.degree, reduced.quotients)
+            == (sum(r for r, _ in rest), sum(d for _, d in rest), rest)
+        ):
+            reduced = bn.sub_bundle_after_step(current, 1)
         if not _same_bundle(step.to_bundle, reduced):
             reasons.append(f"{label}: reduced bundle mismatch")
             return VerifyResult(False, tuple(reasons))
@@ -388,7 +407,7 @@ def verify(cert, first, second):
                 reasons.append("N generator is not a terminal effective generator")
         else:
             reasons.append("zero N generator")
-        total = [t + coeff * g for t, g in zip(total, gen_coords)]
+        total = [t + coeff * g if g else t for t, g in zip(total, gen_coords)]
     if tuple(total) != cert.input_coords:
         reasons.append("P + N does not reproduce the input class")
     return VerifyResult(not reasons, tuple(reasons))

@@ -4,7 +4,7 @@ import copy
 import pickle
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import floor
+from math import floor, lcm
 from types import MappingProxyType
 
 import pytest
@@ -31,7 +31,7 @@ from conecalc.catalog import (
     psef_fibre_product,
     surface_cone_report,
 )
-from conecalc.cones import Pairing, RationalCone, _dd_rays, _dual_basis
+from conecalc.cones import Pairing, RationalCone, _dd_rays, _dual_basis, primitive
 from conecalc.errors import InputError
 from conecalc.presets import PROJ_BUNDLE_OVER_SURFACE_RHO1
 from conecalc.ring import (
@@ -322,6 +322,39 @@ def test_rank_check_runs_on_a_warm_memo():
         psef_fibre_product(HNCurveBundle(1, 1), UNSTABLE)
     with pytest.raises(InputError, match=f"^{RANK_ERROR}$"):
         miyaoka_cones(HNCurveBundle(1, 1))
+
+
+def _fraction_slopes_cone(pieces):
+    """`_pieces_cone` as it was with `Fraction` slopes: its oracle."""
+    n = len(pieces)
+    slopes = [Fraction(d, r) for r, d in pieces]
+    rows = [
+        tuple(s.denominator * (j == i) for j in range(n)) + (-s.numerator,)
+        for i, s in enumerate(slopes)
+    ]
+    top = lcm(*(s.denominator for s in slopes))
+    facets = [tuple(int(j == i) for j in range(n + 1)) for i in range(n)]
+    facets.append(primitive([top // s.denominator * s.numerator for s in slopes] + [top]))
+    return RationalCone(n + 1, rows + [(0,) * n + (1,)], _facets=facets)
+
+
+_PIECES = st.one_of(
+    st.tuples(st.integers(1, 24), st.integers(-(2**40), 2**40)),
+    # zero degrees, and pairs not in lowest terms
+    st.sampled_from([(1, 0), (24, 0), (4, 6), (3, -9), (6, 4), (24, -36)]),
+    st.builds(
+        lambda g, r, d: (g * r, g * d), st.integers(2, 4), st.integers(1, 6), st.integers(-50, 50)
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PIECES, min_size=1, max_size=5).map(tuple))
+def test_integer_slopes_give_the_fraction_slopes_cone(pieces):
+    got = _pieces_cone.__wrapped__(pieces)
+    want = _fraction_slopes_cone(pieces)
+    assert got.generators == want.generators
+    assert got._facets == want._facets
 
 
 def test_decompose_and_verify_build_each_cone_once():

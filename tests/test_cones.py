@@ -502,9 +502,11 @@ def cone_pairs(draw):
     if shape == "random":
         other = draw(st.lists(vec, min_size=1, max_size=dim + 1))
     elif shape == "redundant":
-        # a positive combination of two generators adds nothing to the cone
+        # a positive combination of two generators adds nothing to the cone;
+        # it is no ray when it cancels, as 2*(3,) + 3*(-2,) does
         a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
-        other = gens + [tuple(2 * x + 3 * y for x, y in zip(a, b))]
+        combo = tuple(2 * x + 3 * y for x, y in zip(a, b))
+        other = gens + [combo] * any(combo)
     else:
         other = [tuple(draw(st.integers(1, 4)) * x for x in g) for g in reversed(gens)]
     return RationalCone(dim, gens), RationalCone(dim, other)

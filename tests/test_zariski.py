@@ -3,17 +3,20 @@
 import random
 from fractions import Fraction
 from math import floor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conecalc import zariski
 from conecalc.bundles import HNCurveBundle
 from conecalc.catalog import nef_fibre_product, psef_fibre_product
-from conecalc.errors import InputError
+from conecalc.errors import InputError, InternalError
 from conecalc.ring import IntersectionRing, build_curve_bundle_ring, build_fibre_product_ring
 from conecalc.zariski import (
     ReductionStep,
+    VerifyResult,
     ZariskiCertificate,
     decompose,
     reduce_step,
@@ -267,6 +270,64 @@ def test_verify_broken_sum():
     result = verify(bad, UN2, SS2)
     assert not result
     assert "P + N does not reproduce the input class" in result.reasons
+
+
+def _one_step(step):
+    """A certificate of one hand-built step: P is the whole class, N is empty."""
+    return ZariskiCertificate((1, 1, 6), (step,), "both_semistable", (1, 1, 6), (), False)
+
+
+def test_verify_rejects_a_step_off_the_chain():
+    other = HNCurveBundle(3, 5, [(1, 1), (2, 4)])
+    step = ReductionStep("first", other, HNCurveBundle(2, 4), 1, 1)
+    result = verify(_one_step(step), LADDER3, SS2)
+    assert result.reasons == ("step 1: from-bundle does not match the chain",)
+
+
+def test_verify_rejects_a_step_on_a_semistable_factor():
+    ss3 = HNCurveBundle(3, 0)
+    step = ReductionStep("second", ss3, HNCurveBundle(2, 0), 1, 1)
+    result = verify(_one_step(step), LADDER3, ss3)
+    assert result.reasons == ("step 1: factor is already semistable",)
+
+
+@pytest.mark.parametrize(
+    "to_bundle",
+    [
+        HNCurveBundle(3, 4, [(1, 0), (2, 4)]),
+        HNCurveBundle(3, 4),
+        HNCurveBundle(3, 5, [(2, 1), (1, 4)]),
+    ],
+)
+def test_verify_rejects_another_reduced_ladder(to_bundle):
+    deep = HNCurveBundle(4, 2, [(1, -2), (2, 1), (1, 3)])
+    assert decompose(deep, SS2, (1, 1, 6)).steps[0].to_bundle == HNCurveBundle(
+        3, 4, [(2, 1), (1, 3)]
+    )
+    step = ReductionStep("first", deep, to_bundle, 1, 1)
+    result = verify(_one_step(step), deep, SS2)
+    assert result.reasons == ("step 1: reduced bundle mismatch",)
+
+
+def test_verify_replays_a_look_alike_reduced_bundle_from_the_ladder():
+    # equal rank, degree and ladder, but a `semistable` no HNCurveBundle has:
+    # the chain goes on with the bundle the ladder gives, so the verdict is
+    # the one the real bundle gets
+    cert = decompose(LADDER3, SS2, (2, 1, 5))
+    real = cert.steps[0].to_bundle
+    look_alike = SimpleNamespace(
+        rank=real.rank, degree=real.degree, quotients=real.quotients, name="E", semistable=False
+    )
+    step = ReductionStep("first", LADDER3, look_alike, 1, 2)
+    result = verify(replace(cert, steps=(step,)), LADDER3, SS2)
+    assert result == verify(cert, LADDER3, SS2)
+    assert result.ok and result.reasons == ()
+
+
+def test_decompose_refuses_a_certificate_verify_rejects(monkeypatch):
+    monkeypatch.setattr(zariski, "verify", lambda *args: VerifyResult(False, ("forced",)))
+    with pytest.raises(InternalError, match="forced"):
+        decompose(LADDER3, SS2, (2, 1, 5))
 
 
 def test_reduction_step_validation():
