@@ -6,33 +6,13 @@ ladders are caller-supplied input and only their shape is validated.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from .errors import InputError
 from .rationals import (
-    MAX_RATIONAL_BITS, format_rational, parse_bool, parse_coords, parse_int, parse_rational,
+    MAX_RATIONAL_BITS, _echo, format_rational, parse_bool, parse_coords, parse_int, parse_rational,
 )
 from .record import Record
-
-
-def _bound_at(err, fields, max_bits):
-    """``err``, addressed to the field whose bound it reports.
-
-    ``fields`` are the (path, reader, value) triples a record reader read, in
-    order; the reader calls this only once one of them failed, so field paths
-    cost nothing when every field reads. A malformed value is echoed in
-    ``err`` already, so that error stays as it is; a value past ``max_bits``
-    cannot be echoed, so its message names the field.
-    """
-    for path, read, value in fields:
-        try:
-            read(value, None)
-        except InputError:
-            return err
-        try:
-            read(value, max_bits)
-        except InputError:
-            return err.at(path)
-    return err
 
 
 def validate_hn(rank, degree, quotients):
@@ -64,15 +44,18 @@ class HNCurveBundle(Record):
     ``quotients[0]`` is the minimal-slope quotient of the filtration and the
     last entry is the maximal-slope piece (the deepest subbundle, which is
     itself semistable). A one-entry ladder means the bundle is semistable;
-    omitting ``quotients`` defaults to that.
+    omitting ``quotients`` defaults to that. Every number is an ``int``: a
+    bool, a float or a string raises `InputError`.
     """
 
     __slots__ = ("rank", "degree", "quotients", "name")
 
     def __init__(self, rank, degree, quotients=None, name="E"):
-        if quotients is None:
-            quotients = ((rank, degree),)
-        quotients = tuple((int(r), int(d)) for r, d in quotients)
+        quotients = ((rank, degree),) if quotients is None else tuple(map(tuple, quotients))
+        numbers = (rank, degree, *chain.from_iterable(quotients))
+        if set(map(type, numbers)) != {int}:
+            bad = next(x for x in numbers if type(x) is not int)
+            raise InputError(f"malformed integer: {_echo(bad)}")
         if rank < 1:
             raise InputError("bundle rank must be positive")
         problems = validate_hn(rank, degree, quotients)
@@ -101,13 +84,10 @@ class HNCurveBundle(Record):
         if not isinstance(obj, dict):
             raise InputError("bundle record must be a JSON object")
         try:
-            rank = parse_int(obj["rank"], max_bits)
-            degree = parse_int(obj["degree"], max_bits)
+            rank = parse_int(obj["rank"], max_bits, "rank")
+            degree = parse_int(obj["degree"], max_bits, "degree")
         except KeyError:
             raise InputError("bundle record needs integer rank and degree") from None
-        except InputError as err:
-            fields = (("rank", parse_int, obj["rank"]), ("degree", parse_int, obj.get("degree")))
-            raise _bound_at(err, fields, max_bits) from None
         quotients = obj.get("hn")
         if quotients is not None:
             # an object or a string unpacks like a pair, a key or character at a time
@@ -115,17 +95,13 @@ class HNCurveBundle(Record):
                 isinstance(pair, list) and len(pair) == 2 for pair in quotients
             ):
                 raise InputError("hn must be a list of [rank, degree] pairs")
-            try:
+            if max_bits is None:
+                quotients = tuple((parse_int(r, None), parse_int(d, None)) for r, d in quotients)
+            else:
                 quotients = tuple(
-                    (parse_int(r, max_bits), parse_int(d, max_bits)) for r, d in quotients
+                    (parse_int(r, max_bits, f"hn[{i}][0]"), parse_int(d, max_bits, f"hn[{i}][1]"))
+                    for i, (r, d) in enumerate(quotients)
                 )
-            except InputError as err:
-                fields = (
-                    (f"hn[{i}][{j}]", parse_int, x)
-                    for i, pair in enumerate(quotients)
-                    for j, x in enumerate(pair)
-                )
-                raise _bound_at(err, fields, max_bits) from None
         name = obj.get("name", "E")
         if not isinstance(name, str):
             raise InputError("bundle name must be a JSON string")
@@ -166,15 +142,17 @@ class SurfaceBundleData(Record):
 
     ``c1`` holds coordinates in the base's Neron-Severi basis; c1^2 and
     c2(End) are taken on the space preset (``SpacePreset.c2_end``).
-    ``semistable`` is an asserted input flag, never computed.
+    ``semistable`` is an asserted input flag, never computed. Each field is
+    read as `from_json` reads it, unbounded: a float or a bool raises.
     """
 
     __slots__ = ("rank", "c1", "c2", "semistable")
 
     def __init__(self, rank, c1, c2, semistable):
-        if rank < 2:
+        if parse_int(rank, None) < 2:
             raise InputError("surface bundle rank must be at least 2")
-        super().__init__(rank, tuple(Fraction(x) for x in c1), Fraction(c2), semistable)
+        c1 = tuple(parse_rational(x, None) for x in c1)
+        super().__init__(rank, c1, parse_rational(c2, None), parse_bool(semistable))
 
     def to_json(self):
         return {
@@ -187,18 +165,9 @@ class SurfaceBundleData(Record):
     @classmethod
     def from_json(cls, obj):
         try:
-            rank = parse_int(obj["rank"])
-            c1 = parse_coords(obj["c1"])
-            c2 = parse_rational(obj["c2"])
+            rank = parse_int(obj["rank"], field="rank")
+            c1 = parse_coords(obj["c1"], field="c1")
+            c2 = parse_rational(obj["c2"], field="c2")
         except (KeyError, TypeError, ValueError):
             raise InputError("surface bundle record needs rank, c1, c2") from None
-        except InputError as err:
-            c1 = obj.get("c1")
-            fields = [("rank", parse_int, obj["rank"])]
-            if isinstance(c1, list):
-                fields += [(f"c1[{i}]", parse_rational, x) for i, x in enumerate(c1)]
-            else:
-                fields.append(("c1", parse_coords, c1))
-            fields.append(("c2", parse_rational, obj.get("c2")))
-            raise _bound_at(err, fields, MAX_RATIONAL_BITS) from None
         return cls(rank, c1, c2, parse_bool(obj.get("semistable", False)))

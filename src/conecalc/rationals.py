@@ -2,14 +2,16 @@
 
 Rationals cross the JSON boundary as strings "p/q" with q > 0 and
 gcd(p, q) = 1, or a bare "p" when the value is an integer. Plain ints are
-accepted on input for convenience; floats never are. Integers, booleans,
-coordinate lists and record lists are read strictly: a JSON integer where
-an int is due, a JSON bool where a flag is due, a JSON list where
-coordinates or records are due, and nothing that merely converts to one.
-An integer, and a rational's numerator and denominator, have at most
-``MAX_RATIONAL_BITS`` bits, so whatever is computed from a workspace still
-prints; the certificate reader lifts the bound, so that every certificate
-this package writes reads back.
+accepted on input for convenience; floats never are, here or by the two
+bundle constructors (`SpacePreset`, `RationalCone`, `Pairing` and
+`decompose`'s coordinates still coerce them). Integers, booleans, coordinate
+lists and record lists are read strictly: a JSON integer where an int is
+due, a JSON bool where a flag is due, a JSON list where coordinates or
+records are due, and nothing that merely converts to one. An integer, and a
+rational's numerator and denominator, have at most ``MAX_RATIONAL_BITS``
+bits, so whatever is computed from a workspace still prints; the certificate
+reader lifts the bound, so that every certificate this package writes reads
+back. A value past it is not echoed; its error names the reader's ``field``.
 """
 
 import re
@@ -37,7 +39,7 @@ def _echo(value):
     return _cut(repr(value))
 
 
-def parse_rational(value, max_bits=MAX_RATIONAL_BITS):
+def parse_rational(value, max_bits=MAX_RATIONAL_BITS, field=None):
     if isinstance(value, bool):
         raise InputError(f"malformed rational: {_echo(value)}")
     if isinstance(value, (int, Fraction)):
@@ -63,18 +65,20 @@ def parse_rational(value, max_bits=MAX_RATIONAL_BITS):
         if bits > max_bits:
             raise InputError(
                 f"rational has {bits} bits in numerator or denominator; "
-                f"at most {max_bits} are allowed"
+                f"at most {max_bits} are allowed",
+                field=field,
             )
     return value
 
 
-def parse_int(value, max_bits=MAX_RATIONAL_BITS):
+def parse_int(value, max_bits=MAX_RATIONAL_BITS, field=None):
     # bool is a subclass of int; a float or "2" only converts to one
     if type(value) is not int:
         raise InputError(f"malformed integer: {_echo(value)}")
     if max_bits is not None and value.bit_length() > max_bits:
         raise InputError(
-            f"integer has {value.bit_length()} bits; at most {max_bits} are allowed"
+            f"integer has {value.bit_length()} bits; at most {max_bits} are allowed",
+            field=field,
         )
     return value
 
@@ -92,11 +96,13 @@ def parse_records(value):
     return value
 
 
-def parse_coords(value, max_bits=MAX_RATIONAL_BITS):
+def parse_coords(value, max_bits=MAX_RATIONAL_BITS, field=None):
     # a string iterates too, so "110" would otherwise read as (1, 1, 0)
     if not isinstance(value, list):
         raise InputError(f"malformed coordinate list: {_echo(value)}")
-    return tuple(parse_rational(x, max_bits) for x in value)
+    if max_bits is None or field is None:
+        return tuple(parse_rational(x, max_bits) for x in value)
+    return tuple(parse_rational(x, max_bits, f"{field}[{i}]") for i, x in enumerate(value))
 
 
 def format_rational(value):

@@ -267,6 +267,7 @@ _DIGITS = "0123456789"
 # any other character, is refused by _tokenize
 _TOKEN = re.compile(r"[-+*^()]|[0-9]+(?:/[0-9]+)?|\w+|\S")
 _STARTS = frozenset("+-*^()_" + _DIGITS)
+_OPERATORS = frozenset("+-*^)")  # operator tokens that cannot start a value
 
 
 class ParsedPoly(dict):
@@ -493,6 +494,8 @@ def parse_expression(ring, text):
             d = ring.gen_degrees[i]
             mono = tuple(int(j == i) for j in range(width))
             return d, d, {mono: 1} if d <= dim else None, 1
+        if tok in _OPERATORS:
+            raise InputError(f"expected a generator, a number or '(', found {tok!r}")
         raise InputError(f"unknown generator {_echo(tok)}; ring has {', '.join(ring.gens)}")
 
     try:

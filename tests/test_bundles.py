@@ -87,6 +87,30 @@ def test_bad_ladder_raises_with_reasons():
     assert "slopes not strictly increasing" in err.value.reasons
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: HNCurveBundle(2.0, 0, [(2.7, 0.5)]), "malformed integer: 2.0"),
+        (lambda: HNCurveBundle(True, 1), "malformed integer: True"),
+        (lambda: HNCurveBundle(2, 0, [(1, -1), (1, 1.0)]), "malformed integer: 1.0"),
+        (lambda: HNCurveBundle(2, 0, [("1", -1), (1, 1)]), "malformed integer: '1'"),
+        (lambda: SurfaceBundleData(2, [0.1], 0, "false"), "malformed rational: 0.1"),
+        (lambda: SurfaceBundleData(2, [1], 0, "false"), "malformed boolean: 'false'"),
+        (lambda: SurfaceBundleData(2.9, [1], True, 1), "malformed integer: 2.9"),
+        (lambda: SurfaceBundleData(2, [1], True, True), "malformed rational: True"),
+    ],
+    ids=[
+        "hn-float", "hn-bool", "hn-float-entry", "hn-string-entry",
+        "surface-float-c1", "surface-string-flag", "surface-float-rank", "surface-bool-c2",
+    ],
+)
+def test_bundle_constructors_refuse_what_only_converts(build, message):
+    # a float, a bool or a string is refused where it used to be coerced
+    with pytest.raises(InputError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_sub_bundle_after_step():
     b = HNCurveBundle(3, 4, [(1, 0), (2, 4)])
     e1 = sub_bundle_after_step(b, 1)

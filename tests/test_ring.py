@@ -601,6 +601,18 @@ def test_parse_expression_errors():
         parse_expression(ring, "xi $ F")
 
 
+@pytest.mark.parametrize(
+    "text, token",
+    [("xi + -F", "-"), ("xi*-F", "-"), ("^2", "^"), ("xi + )", ")"), ("xi*+F", "+"), ("()", ")"),
+     ("xi^2*(*F)", "*")],
+)
+def test_parser_names_the_operator_where_a_value_is_due(text, token):
+    ring = build_fibre_product_ring(2, 2, 0, 0)
+    with pytest.raises(InputError) as err:
+        parse_expression(ring, text)
+    assert str(err.value) == f"expected a generator, a number or '(', found '{token}'"
+
+
 @settings(max_examples=60)
 @given(
     st.integers(2, 4),

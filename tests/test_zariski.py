@@ -309,19 +309,71 @@ def test_verify_rejects_another_reduced_ladder(to_bundle):
     assert result.reasons == ("step 1: reduced bundle mismatch",)
 
 
-def test_verify_replays_a_look_alike_reduced_bundle_from_the_ladder():
-    # equal rank, degree and ladder, but a `semistable` no HNCurveBundle has:
-    # the chain goes on with the bundle the ladder gives, so the verdict is
-    # the one the real bundle gets
-    cert = decompose(LADDER3, SS2, (2, 1, 5))
-    real = cert.steps[0].to_bundle
-    look_alike = SimpleNamespace(
-        rank=real.rank, degree=real.degree, quotients=real.quotients, name="E", semistable=False
+def _near(numbers):
+    """The (rank, degree, quotients) of a reduced bundle, or numbers near it:
+    one of the three shifted, one ladder entry moved, the ladder cut short,
+    or another ladder altogether."""
+    rank, degree, quotients = numbers
+    shift = st.integers(-2, 2)
+
+    def moved(i, rank_shift, degree_shift):
+        entries = list(quotients)
+        entries[i] = (entries[i][0] + rank_shift, entries[i][1] + degree_shift)
+        return rank, degree, tuple(entries)
+
+    return st.one_of(
+        st.just(numbers),
+        shift.map(lambda s: (rank + s, degree, quotients)),
+        shift.map(lambda s: (rank, degree + s, quotients)),
+        st.builds(moved, st.integers(0, len(quotients) - 1), shift, shift),
+        st.just((rank, degree, quotients[:-1])),
+        ladders().map(lambda b: (b.rank, b.degree, b.quotients)),
     )
-    step = ReductionStep("first", LADDER3, look_alike, 1, 2)
-    result = verify(replace(cert, steps=(step,)), LADDER3, SS2)
-    assert result == verify(cert, LADDER3, SS2)
-    assert result.ok and result.reasons == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladders(), ladders(), st.data())
+def test_verify_reads_only_the_numbers_of_a_reduced_bundle(first, second, data):
+    # a look-alike with a reduced bundle's numbers, whatever its `semistable`
+    # and name, gets the verdict the bundle gets; near numbers are a mismatch,
+    # after the center-rank reason their rank drop may bring
+    assume(first.rank >= 2 and second.rank >= 2)
+    a, b, c = (data.draw(st.fractions(0, 5, max_denominator=3)) for _ in range(3))
+    mu1, mu2 = (Fraction(d, r) for r, d in (first.quotients[-1], second.quotients[-1]))
+    cert = decompose(first, second, (a, b, c - a * mu1 - b * mu2))
+    assume(cert.steps)
+    # a verdict with reasons too, from a wrong label or a moved P
+    label = data.draw(st.sampled_from(zariski.TERMINAL_CASES))
+    shift = data.draw(st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 0, -1)]))
+    cert = replace(cert, terminal_case=label, P=tuple(map(sum, zip(coords(cert.P), shift))))
+    k = data.draw(st.integers(0, len(cert.steps) - 1))
+    steps = list(cert.steps)
+    for i, step in enumerate(steps):
+        real = step.to_bundle
+        numbers = (real.rank, real.degree, real.quotients)
+        if i == k:
+            numbers = near = data.draw(_near(numbers))
+        elif not data.draw(st.booleans()):
+            continue
+        rank, degree, quotients = numbers
+        look_alike = SimpleNamespace(
+            rank=rank, degree=degree, quotients=quotients,
+            name=data.draw(st.text(max_size=3)), semistable=data.draw(st.booleans()),
+        )
+        center = step.from_bundle.rank - rank
+        assume(1 <= center < step.from_bundle.rank - 1)
+        steps[i] = ReductionStep(
+            step.factor, step.from_bundle, look_alike, center, step.exceptional_multiplicity
+        )
+    result = verify(replace(cert, steps=tuple(steps)), first, second)
+    real = cert.steps[k]
+    if near == (real.to_bundle.rank, real.to_bundle.degree, real.to_bundle.quotients):
+        assert result == verify(cert, first, second)
+    else:
+        want = (f"step {k + 1}: reduced bundle mismatch",)
+        if steps[k].blowup_center_rank != real.from_bundle.quotients[0][0]:
+            want = (f"step {k + 1}: center rank is not the minimal-slope quotient rank",) + want
+        assert result == VerifyResult(False, want)
 
 
 def test_decompose_refuses_a_certificate_verify_rejects(monkeypatch):
