@@ -65,6 +65,13 @@ class HNCurveBundle(Record):
             )
         super().__init__(rank, degree, quotients, name)
 
+    @classmethod
+    def _trusted(cls, rank, degree, quotients):
+        """A bundle of numbers taken from a valid one, not checked again."""
+        bundle = object.__new__(cls)
+        Record.__init__(bundle, rank, degree, quotients, "E")
+        return bundle
+
     @property
     def semistable(self):
         return len(self.quotients) == 1
@@ -95,9 +102,8 @@ class HNCurveBundle(Record):
                 isinstance(pair, list) and len(pair) == 2 for pair in quotients
             ):
                 raise InputError("hn must be a list of [rank, degree] pairs")
-            if max_bits is None:
-                quotients = tuple((parse_int(r, None), parse_int(d, None)) for r, d in quotients)
-            else:
+            if max_bits is not None:
+                # unbounded, the constructor's own type check reads the ladder
                 quotients = tuple(
                     (parse_int(r, max_bits, f"hn[{i}][0]"), parse_int(d, max_bits, f"hn[{i}][1]"))
                     for i, (r, d) in enumerate(quotients)
@@ -143,16 +149,17 @@ class SurfaceBundleData(Record):
     ``c1`` holds coordinates in the base's Neron-Severi basis; c1^2 and
     c2(End) are taken on the space preset (``SpacePreset.c2_end``).
     ``semistable`` is an asserted input flag, never computed. Each field is
-    read as `from_json` reads it, unbounded: a float or a bool raises.
+    read as `from_json` reads it, unbounded: a float, or a bool for a number, raises.
     """
 
     __slots__ = ("rank", "c1", "c2", "semistable")
 
     def __init__(self, rank, c1, c2, semistable):
-        if parse_int(rank, None) < 2:
+        values = parse_int(rank, None), tuple(parse_rational(x, None) for x in c1)
+        values += parse_rational(c2, None), parse_bool(semistable)
+        if rank < 2:
             raise InputError("surface bundle rank must be at least 2")
-        c1 = tuple(parse_rational(x, None) for x in c1)
-        super().__init__(rank, c1, parse_rational(c2, None), parse_bool(semistable))
+        super().__init__(*values)
 
     def to_json(self):
         return {
@@ -170,4 +177,4 @@ class SurfaceBundleData(Record):
             c2 = parse_rational(obj["c2"], field="c2")
         except (KeyError, TypeError, ValueError):
             raise InputError("surface bundle record needs rank, c1, c2") from None
-        return cls(rank, c1, c2, parse_bool(obj.get("semistable", False)))
+        return cls(rank, c1, c2, obj.get("semistable", False))

@@ -100,7 +100,7 @@ def parse_coords(value, max_bits=MAX_RATIONAL_BITS, field=None):
     # a string iterates too, so "110" would otherwise read as (1, 1, 0)
     if not isinstance(value, list):
         raise InputError(f"malformed coordinate list: {_echo(value)}")
-    if max_bits is None or field is None:
+    if field is None:
         return tuple(parse_rational(x, max_bits) for x in value)
     return tuple(parse_rational(x, max_bits, f"{field}[{i}]") for i, x in enumerate(value))
 

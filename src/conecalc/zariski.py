@@ -335,12 +335,12 @@ def verify(cert, first, second):
     generators against the terminal effective generators, and the sum P + N
     against the input. P and the N generators may be ring classes or
     coordinate triples, as `decompose` takes them; anything else is a
-    reason. Never raises while every bundle's numbers are ints; returns a
-    VerifyResult that is falsy when any reason was collected. A reduced
-    bundle whose rank, degree and ladder are the chain's ladder slice
-    ``quotients[1:]`` and its sums carries the chain on as it is; any other
-    is a mismatch. Of each bundle only these numbers are read, the ladder's
-    length standing for ``semistable``; ``cert.verified`` is never read.
+    reason. Never raises on two `HNCurveBundle`s; returns a VerifyResult
+    that is falsy when any reason was collected. A reduced bundle whose
+    rank, degree and ladder differ from the ladder slice ``quotients[1:]``
+    and its sums is a mismatch; the chain goes on with the slice itself. Of
+    each bundle only these numbers are read, the ladder's length standing
+    for ``semistable``; ``cert.verified`` is never read.
     """
     reasons = []
     if first.rank < 2 or second.rank < 2:
@@ -360,10 +360,9 @@ def verify(cert, first, second):
             reasons.append(
                 f"{label}: center rank is not the minimal-slope quotient rank"
             )
-        reduced, rest = step.to_bundle, current.quotients[1:]
-        if (reduced.rank, reduced.degree, reduced.quotients) != (
-            sum(r for r, _ in rest), sum(d for _, d in rest), rest
-        ):
+        rest = current.quotients[1:]
+        reduced = (sum(r for r, _ in rest), sum(d for _, d in rest), rest)
+        if (step.to_bundle.rank, step.to_bundle.degree, step.to_bundle.quotients) != reduced:
             reasons.append(f"{label}: reduced bundle mismatch")
             return VerifyResult(False, tuple(reasons))
         expected = cert.input_coords[idx]
@@ -374,7 +373,7 @@ def verify(cert, first, second):
             )
         if step.exceptional_multiplicity < 0:
             reasons.append("negative exceptional multiplicity")
-        chain[idx] = reduced
+        chain[idx] = HNCurveBundle._trusted(*reduced)
     if chain[0].rank < 2 or chain[1].rank < 2:
         reasons.append("chain reduced a factor below rank 2")
         return VerifyResult(False, tuple(reasons))

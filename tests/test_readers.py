@@ -365,6 +365,8 @@ FIRST_FAILING = [
     ("surface", {"rank": "2", "c1": [BIG], "c2": BIG}, "malformed integer: '2'"),
     ("surface", {"rank": BIG, "c1": "x", "c2": "0"}, ("rank", INTEGER_BOUND)),
     ("surface", {"rank": 2, "c1": "x", "c2": BIG}, "malformed coordinate list: 'x'"),
+    ("surface", {"rank": 1, "c1": [], "c2": "0", "semistable": "x"}, "malformed boolean: 'x'"),
+    ("surface", {"rank": 1, "c1": [], "c2": "0"}, "surface bundle rank must be at least 2"),
 ]
 
 

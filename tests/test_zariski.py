@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conecalc import zariski
+from conecalc import catalog, zariski
 from conecalc.bundles import HNCurveBundle
 from conecalc.catalog import nef_fibre_product, psef_fibre_product
 from conecalc.errors import InputError, InternalError
@@ -334,9 +334,10 @@ def _near(numbers):
 @settings(max_examples=150, deadline=None)
 @given(ladders(), ladders(), st.data())
 def test_verify_reads_only_the_numbers_of_a_reduced_bundle(first, second, data):
-    # a look-alike with a reduced bundle's numbers, whatever its `semistable`
-    # and name, gets the verdict the bundle gets; near numbers are a mismatch,
-    # after the center-rank reason their rank drop may bring
+    # a look-alike with a reduced bundle's numbers, as ints, Fractions or
+    # floats and whatever its `semistable` and name, gets the verdict the
+    # bundle gets; near numbers are a mismatch, after the center-rank reason
+    # their rank drop may bring
     assume(first.rank >= 2 and second.rank >= 2)
     a, b, c = (data.draw(st.fractions(0, 5, max_denominator=3)) for _ in range(3))
     mu1, mu2 = (Fraction(d, r) for r, d in (first.quotients[-1], second.quotients[-1]))
@@ -356,8 +357,10 @@ def test_verify_reads_only_the_numbers_of_a_reduced_bundle(first, second, data):
         elif not data.draw(st.booleans()):
             continue
         rank, degree, quotients = numbers
+        as_number = data.draw(st.sampled_from([int, Fraction, float]))
         look_alike = SimpleNamespace(
-            rank=rank, degree=degree, quotients=quotients,
+            rank=as_number(rank), degree=as_number(degree),
+            quotients=tuple((as_number(r), as_number(d)) for r, d in quotients),
             name=data.draw(st.text(max_size=3)), semistable=data.draw(st.booleans()),
         )
         center = step.from_bundle.rank - rank
@@ -365,6 +368,8 @@ def test_verify_reads_only_the_numbers_of_a_reduced_bundle(first, second, data):
         steps[i] = ReductionStep(
             step.factor, step.from_bundle, look_alike, center, step.exceptional_multiplicity
         )
+    # a memo hit on the equal int pieces would hide a look-alike's numbers
+    catalog._pieces_cone.cache_clear()
     result = verify(replace(cert, steps=tuple(steps)), first, second)
     real = cert.steps[k]
     if near == (real.to_bundle.rank, real.to_bundle.degree, real.to_bundle.quotients):
